@@ -145,11 +145,9 @@ def cmd_integrate(args) -> int:
             print(f"qint integrate: error: bad --study list {args.study!r}",
                   file=sys.stderr)
             return 1
-        report = convergence_study(F, path, n_list, rule=args.rule,
-                                   threads=args.threads)
+        report = convergence_study(F, path, n_list, rule=args.rule)
     else:
-        report = integrate(F, path, args.steps, rule=args.rule,
-                           threads=args.threads)
+        report = integrate(F, path, args.steps, rule=args.rule)
     if args.out:
         _write_report(args.out, report)
     print(format_quaternion(report.value))
@@ -158,7 +156,7 @@ def cmd_integrate(args) -> int:
 
 def cmd_verify(args) -> int:
     tol = tolerances_from_env()
-    reports = run_suite(args.suite, tol, threads=args.threads)
+    reports = run_suite(args.suite, tol)
     for rep in reports:
         print(rep.summary_line())
     n_pass = sum(1 for r in reports if r.passed)
@@ -199,15 +197,12 @@ def build_parser() -> _Parser:
                     help="comma-separated ascending step counts for a convergence study")
     pi.add_argument("--branch-track", action="store_true",
                     help="continuous-branch integration of ln along an in-slice path")
-    pi.add_argument("--threads", type=_positive_int, default=1,
-                    help="parallel segment evaluation (default 1)")
     pi.add_argument("--out", default=None,
                     help="write the report: .json for JSON, anything else CSV")
     pi.set_defaults(func=cmd_integrate)
 
     pv = sub.add_parser("verify", help="run the verification suite")
     pv.add_argument("--suite", choices=["default", "all"], default="default")
-    pv.add_argument("--threads", type=_positive_int, default=1)
     pv.add_argument("--out", default=None, help="write the JSON report here")
     pv.set_defaults(func=cmd_verify)
     return p
@@ -225,6 +220,9 @@ def main(argv=None) -> int:
     except QintError as e:
         where = f" (at s={e.s_param:.6g})" if e.s_param is not None else ""
         print(f"qint {args.command}: domain error{where}: {e}", file=sys.stderr)
+        return 2
+    except OverflowError as e:
+        print(f"qint {args.command}: domain error: overflow ({e})", file=sys.stderr)
         return 2
     except ValueError as e:
         print(f"qint {args.command}: parse error: {e}", file=sys.stderr)

@@ -8,7 +8,7 @@ to two complex evaluations plus a projection of delta onto the slice plane.
 
 import math
 
-from .functions import AnalyticFunction, Monomial
+from .functions import AnalyticFunction
 from .quaternion import ONE, ZERO, Quaternion
 from .slices import EPS_AXIS, decompose_delta, eval_derivative, perp_quotient
 
@@ -85,8 +85,3 @@ def sym_product_sum(x: Quaternion, delta: Quaternion, n: int) -> Quaternion:
     for k in range(n + 1):
         total = total + powers[k] * delta * powers[n - k]
     return total
-
-
-def monomial_differential_exact(x: Quaternion, delta: Quaternion, n: int) -> Quaternion:
-    """differential(Monomial(n+1), x, delta) — thin convenience wrapper."""
-    return differential(Monomial(n + 1), x, delta)

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import DomainError, UnsupportedFunctionError
+from .quaternion import _finite
 
 # Series terms smaller than this fraction of the partial sum stop the summation.
 TRUNCATION_RTOL = 1e-16
@@ -89,10 +90,6 @@ class PowerSeries(AnalyticFunction):
             for m, b in enumerate(other.coeffs):
                 out[n + m] += a * b
         return PowerSeries(tuple(out), min(self.radius, other.radius))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
 
     @property
     def is_entire(self) -> bool:
@@ -287,12 +284,11 @@ def parse_function(obj: dict) -> AnalyticFunction:
     kind = obj.get("kind")
     if kind == "series":
         coeffs = obj.get("coeffs")
-        if not isinstance(coeffs, list) or not all(isinstance(c, (int, float)) for c in coeffs):
+        if not isinstance(coeffs, list):
             raise ValueError("series spec needs a numeric 'coeffs' list")
         radius = obj.get("radius")
-        if radius is None:
-            radius = math.inf
-        return PowerSeries(tuple(coeffs), float(radius))
+        radius = math.inf if radius is None else _finite(radius, "series 'radius'")
+        return PowerSeries(tuple(_finite(c, "series coefficient") for c in coeffs), radius)
     if kind == "named":
         name = obj.get("name")
         if name == "monomial":
@@ -304,8 +300,6 @@ def parse_function(obj: dict) -> AnalyticFunction:
             raise ValueError("named spec needs a 'name' string")
         return NamedFunction(name)
     if kind == "scaled":
-        factor = obj.get("factor")
-        if not isinstance(factor, (int, float)):
-            raise ValueError("scaled spec needs a numeric 'factor'")
-        return Scaled(parse_function(obj.get("inner")), float(factor))
+        factor = _finite(obj.get("factor"), "scaled 'factor'")
+        return Scaled(parse_function(obj.get("inner")), factor)
     raise ValueError(f"unknown function kind {kind!r}")

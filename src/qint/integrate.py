@@ -6,8 +6,10 @@ and a branch-tracked variant for ln on in-slice paths.
 import cmath
 import math
 import statistics
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import chain, islice
+from operator import attrgetter
+from typing import Iterable, Iterator
 
 from .differential import differential
 from .errors import (DegenerateSliceError, DomainError, MissingReferenceError,
@@ -26,6 +28,9 @@ SLICE_REJECTION_TOL = 1e-9
 
 # Unwrapping slack: per-step phase change may exceed pi/2 by rounding only.
 UNWRAP_SLACK = 1e-9
+
+# Terms per math.fsum call in _qsum; bounds its memory.
+_SUM_CHUNK = 1024
 
 
 @dataclass
@@ -46,25 +51,25 @@ class IntegrationReport:
         return all(err is not None and err <= floor for _, _, err in self.rows)
 
 
-class _KahanQuat:
-    """Compensated component-wise accumulator for quaternion sums."""
+def _qsum(terms: Iterable[Quaternion]) -> Quaternion:
+    """Component-wise compensated sum of a stream of quaternions.
 
-    __slots__ = ("s", "c")
-
-    def __init__(self):
-        self.s = [0.0, 0.0, 0.0, 0.0]
-        self.c = [0.0, 0.0, 0.0, 0.0]
-
-    def add(self, q: Quaternion) -> None:
-        s, c = self.s, self.c
-        for i, v in enumerate((q.w, q.x1, q.x2, q.x3)):
-            y = v - c[i]
-            t = s[i] + y
-            c[i] = (t - s[i]) - y
-            s[i] = t
-
-    def total(self) -> Quaternion:
-        return Quaternion(*self.s)
+    math.fsum (Shewchuk's correctly rounded summation) runs over chunks of
+    _SUM_CHUNK terms. Each chunk is seeded with the running total and the
+    remainder its rounding dropped, so the result matches one fsum over all
+    terms to about 2**-106 relative while memory stays bounded.
+    """
+    it = iter(terms)
+    carry = [(0.0, 0.0)] * 4  # (total, remainder) per component
+    while chunk := list(islice(it, _SUM_CHUNK)):
+        new = []
+        for (hi, lo), get in zip(carry, map(attrgetter, ("w", "x1", "x2", "x3"))):
+            xs = [hi, lo, *map(get, chunk)]
+            total = math.fsum(xs)
+            xs.append(-total)
+            new.append((total, math.fsum(xs)))
+        carry = new
+    return Quaternion(*(hi for hi, _ in carry))
 
 
 def endpoint_reference(F: AnalyticFunction, path: Path) -> Quaternion:
@@ -87,34 +92,40 @@ def _try_reference(F: AnalyticFunction, path: Path) -> Quaternion | None:
         return None
 
 
-def _check_axis_eval(F: AnalyticFunction, x: Quaternion, s: float, eps_axis: float) -> None:
+def _single_report(steps: int, value: Quaternion, ref: Quaternion | None) -> IntegrationReport:
+    err = (value - ref).norm() if ref is not None else None
+    return IntegrationReport(steps=steps, value=value, reference=ref, abs_error=err,
+                             rows=[(steps, value, err)])
+
+
+def _check_axis_eval(F: AnalyticFunction, x: Quaternion, s: float, eps_axis: float) -> bool:
+    """Raise at a real-axis evaluation point of a non-entire F; else True."""
     if x.imag_norm() <= eps_axis and not F.is_entire:
         raise DegenerateSliceError(
             "evaluation point on the real axis for a non-entire function",
             s_param=s)
+    return True
 
 
-def _staircase_chunk(F: AnalyticFunction, path: Path, steps: int,
-                     lo: int, hi: int, rule: str, eps_axis: float) -> Quaternion:
+def _chords(path: Path, steps: int,
+            rule: str) -> Iterator[tuple[float, Quaternion, Quaternion]]:
+    """Yield (s_eval, x_eval, x_n - x_{n-1}) for n = 1..steps of a uniform
+    subdivision; x_eval is the chord start ('left') or the path point at the
+    parameter midpoint ('midpoint')."""
     inv = 1.0 / steps
-    acc = _KahanQuat()
-    prev = path.point(lo * inv)
-    for n in range(lo + 1, hi + 1):
+    prev = path.point(0.0)
+    for n in range(1, steps + 1):
         cur = path.point(n * inv)
         if rule == "left":
-            s_eval = (n - 1) * inv
-            xe = prev
+            yield (n - 1) * inv, prev, cur - prev
         else:
             s_eval = (n - 0.5) * inv
-            xe = path.point(s_eval)
-        _check_axis_eval(F, xe, s_eval, eps_axis)
-        acc.add(differential(F, xe, cur - prev, eps_axis))
+            yield s_eval, path.point(s_eval), cur - prev
         prev = cur
-    return acc.total()
 
 
 def integrate(F: AnalyticFunction, path: Path, steps: int, rule: str = "left",
-              threads: int = 1, eps_axis: float = EPS_AXIS) -> IntegrationReport:
+              eps_axis: float = EPS_AXIS) -> IntegrationReport:
     """Sum differential(F, x_eval, x_n - x_{n-1}) over a uniform subdivision.
 
     rule='left' evaluates at the segment start (first-order accurate);
@@ -126,26 +137,14 @@ def integrate(F: AnalyticFunction, path: Path, steps: int, rule: str = "left",
         raise ValueError("steps must be >= 1")
     if rule not in ("left", "midpoint"):
         raise ValueError(f"unknown rule {rule!r}; expected 'left' or 'midpoint'")
-    if threads > 1 and steps > threads:
-        bounds = [(k * steps) // threads for k in range(threads + 1)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(
-                lambda be: _staircase_chunk(F, path, steps, be[0], be[1], rule, eps_axis),
-                zip(bounds[:-1], bounds[1:])))
-        acc = _KahanQuat()
-        for p in parts:
-            acc.add(p)
-        value = acc.total()
-    else:
-        value = _staircase_chunk(F, path, steps, 0, steps, rule, eps_axis)
-    ref = _try_reference(F, path)
-    err = (value - ref).norm() if ref is not None else None
-    return IntegrationReport(steps=steps, value=value, reference=ref, abs_error=err,
-                             rows=[(steps, value, err)])
+    chords = _chords(path, steps, rule)
+    if not F.is_entire:
+        chords = (c for c in chords if _check_axis_eval(F, c[1], c[0], eps_axis))
+    value = _qsum(differential(F, x, d, eps_axis) for _, x, d in chords)
+    return _single_report(steps, value, _try_reference(F, path))
 
 
 def integrate_slice_quadrature(F: AnalyticFunction, path: Path, steps: int,
-                               threads: int = 1,
                                eps_axis: float = EPS_AXIS) -> IntegrationReport:
     """Trapezoid rule on dF(x(s))/ds with central finite differences.
 
@@ -156,42 +155,24 @@ def integrate_slice_quadrature(F: AnalyticFunction, path: Path, steps: int,
         raise ValueError("steps must be >= 1")
     n = steps
     h = 1.0 / n
-
-    def sample(k: int) -> Quaternion:
-        s = k * h
-        x = path.point(s)
-        _check_axis_eval(F, x, s, eps_axis)
-        return eval_function(F, x, eps_axis)
-
-    if threads > 1 and n + 1 > threads:
-        bounds = [(k * (n + 1)) // threads for k in range(threads + 1)]
-        g: list[Quaternion] = []
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for part in pool.map(lambda be: [sample(k) for k in range(be[0], be[1])],
-                                 zip(bounds[:-1], bounds[1:])):
-                g.extend(part)
-    else:
-        g = [sample(k) for k in range(n + 1)]
-
+    g = []
+    for k in range(n + 1):
+        x = path.point(k * h)
+        _check_axis_eval(F, x, k * h, eps_axis)
+        g.append(eval_function(F, x, eps_axis))
     if n == 1:
         value = g[1] - g[0]
     else:
-        acc = _KahanQuat()
-        # trapezoid weights: half at the ends, 1 inside; all scaled by h later
-        acc.add(0.5 * ((-3.0) * g[0] + 4.0 * g[1] - g[2]) * 0.5)
-        acc.add(0.5 * (3.0 * g[n] - 4.0 * g[n - 1] + g[n - 2]) * 0.5)
-        for k in range(1, n):
-            acc.add(0.5 * (g[k + 1] - g[k - 1]))
-        value = acc.total()  # the 1/(2h) of each stencil cancels h of the rule
-    ref = _try_reference(F, path)
-    err = (value - ref).norm() if ref is not None else None
-    return IntegrationReport(steps=n, value=value, reference=ref, abs_error=err,
-                             rows=[(n, value, err)])
+        # trapezoid weights: half at the ends, 1 inside; the 1/(2h) of each
+        # stencil cancels the h of the rule
+        ends = (0.5 * ((-3.0) * g[0] + 4.0 * g[1] - g[2]) * 0.5,
+                0.5 * (3.0 * g[n] - 4.0 * g[n - 1] + g[n - 2]) * 0.5)
+        value = _qsum(chain(ends, (0.5 * (g[k + 1] - g[k - 1]) for k in range(1, n))))
+    return _single_report(n, value, _try_reference(F, path))
 
 
 def convergence_study(F: AnalyticFunction, path: Path, n_list: list[int],
-                      rule: str = "left", threads: int = 1,
-                      eps_axis: float = EPS_AXIS) -> IntegrationReport:
+                      rule: str = "left", eps_axis: float = EPS_AXIS) -> IntegrationReport:
     """Run integrate at each N and fit the error order on a log-log scale.
 
     est_order is the negated least-squares slope of log(err) against log(N),
@@ -205,7 +186,7 @@ def convergence_study(F: AnalyticFunction, path: Path, n_list: list[int],
     ref = endpoint_reference(F, path)  # raises MissingReference if unavailable
     rows: list[tuple[int, Quaternion, float | None]] = []
     for n in n_list:
-        r = integrate(F, path, n, rule=rule, threads=threads, eps_axis=eps_axis)
+        r = integrate(F, path, n, rule=rule, eps_axis=eps_axis)
         rows.append((n, r.value, (r.value - ref).norm()))
     pts = [(math.log(n), math.log(err)) for n, _, err in rows if err > EXACT_FLOOR]
     est = None
@@ -225,8 +206,8 @@ def integrate_with_branch_tracking(F: AnalyticFunction, path: Path, steps: int,
     the signed component along the first off-axis direction found. The value
     is the left-endpoint sum of (z_{n+1} - z_n)/z_n, which is branch-free;
     the reference is the continuously unwrapped ln difference, so a loop
-    winding m times around 0 reports 2*pi*m*u. Strictly sequential: the
-    unwrapped phase state depends on path order.
+    winding m times around 0 reports 2*pi*m*u. One streaming pass in path
+    order, so the first fault along the path is the one reported.
     """
     if not (isinstance(F, NamedFunction) and F.name == "ln"):
         raise UnsupportedFunctionError("branch tracking is implemented for ln only")
@@ -234,64 +215,53 @@ def integrate_with_branch_tracking(F: AnalyticFunction, path: Path, steps: int,
         raise ValueError("steps must be >= 1")
     n = steps
     h = 1.0 / n
-    xs = [path.point(k * h) for k in range(n + 1)]
 
-    u = None
-    for x in xs:
+    u = (0.0, 0.0, 0.0)  # kept on a path along the real axis, where y = 0
+    for k in range(n + 1):  # the first off-axis point fixes the slice
+        x = path.point(k * h)
         r = x.imag_norm()
         if r > eps_axis:
             u = (x.x1 / r, x.x2 / r, x.x3 / r)
             break
 
-    zs: list[complex] = []
-    for k, x in enumerate(xs):
-        if u is None:
-            y = 0.0
-        else:
-            y = x.x1 * u[0] + x.x2 * u[1] + x.x3 * u[2]
-            rej = math.sqrt((x.x1 - y * u[0]) ** 2 + (x.x2 - y * u[1]) ** 2
-                            + (x.x3 - y * u[2]) ** 2)
-            if rej > SLICE_REJECTION_TOL * max(1.0, x.norm()):
-                raise SliceEscapeError(
-                    f"point leaves the slice plane (off-plane magnitude {rej:.3e})",
-                    s_param=k * h)
+    def slice_z(k: int) -> complex:
+        x = path.point(k * h)
+        y = x.x1 * u[0] + x.x2 * u[1] + x.x3 * u[2]
+        rej = math.sqrt((x.x1 - y * u[0]) ** 2 + (x.x2 - y * u[1]) ** 2
+                        + (x.x3 - y * u[2]) ** 2)
+        if rej > SLICE_REJECTION_TOL * max(1.0, x.norm()):
+            raise SliceEscapeError(
+                f"point leaves the slice plane (off-plane magnitude {rej:.3e})",
+                s_param=k * h)
         z = complex(x.w, y)
         if z == 0:
             raise DomainError("path passes through 0, where ln is singular",
                               s_param=k * h)
-        zs.append(z)
+        return z
 
-    phase = cmath.phase(zs[0])
-    total_phase = phase
-    for k in range(1, n + 1):
-        step = math.remainder(cmath.phase(zs[k]) - total_phase, math.tau)
-        if abs(step) > 0.5 * math.pi + UNWRAP_SLACK:
-            raise StepTooCoarseError(
-                f"phase jump {abs(step):.3f} rad exceeds pi/2; increase steps",
-                s_param=k * h)
-        total_phase += step
+    z_first = z_prev = slice_z(0)
+    phase = total_phase = cmath.phase(z_first)
 
-    sr = sc = 0.0  # compensated real part
-    ir = ic = 0.0  # compensated imaginary part
-    for k in range(n):
-        term = (zs[k + 1] - zs[k]) / zs[k]
-        y = term.real - sc
-        t = sr + y
-        sc = (t - sr) - y
-        sr = t
-        y = term.imag - ic
-        t = ir + y
-        ic = (t - ir) - y
-        ir = t
+    def terms() -> Iterator[Quaternion]:
+        # complex terms ride in the i-slice so that _qsum can add them
+        nonlocal z_prev, total_phase
+        for k in range(1, n + 1):
+            z = slice_z(k)
+            step = math.remainder(cmath.phase(z) - total_phase, math.tau)
+            if abs(step) > 0.5 * math.pi + UNWRAP_SLACK:
+                raise StepTooCoarseError(
+                    f"phase jump {abs(step):.3f} rad exceeds pi/2; increase steps",
+                    s_param=k * h)
+            total_phase += step
+            t = (z - z_prev) / z_prev
+            z_prev = z
+            yield Quaternion(t.real, t.imag, 0.0, 0.0)
+
+    total = _qsum(terms())
 
     def to_quaternion(re: float, im: float) -> Quaternion:
-        if u is None:
-            return Quaternion(re, 0.0, 0.0, 0.0)
         return Quaternion(re, im * u[0], im * u[1], im * u[2])
 
-    value = to_quaternion(sr, ir)
-    ref = to_quaternion(math.log(abs(zs[n])) - math.log(abs(zs[0])),
-                        total_phase - phase)
-    err = (value - ref).norm()
-    return IntegrationReport(steps=n, value=value, reference=ref, abs_error=err,
-                             rows=[(n, value, err)])
+    return _single_report(n, to_quaternion(total.w, total.x1),
+                          to_quaternion(math.log(abs(z_prev)) - math.log(abs(z_first)),
+                                        total_phase - phase))

@@ -7,7 +7,7 @@ chords, so only point() and the endpoints matter to the rest of the library.
 import math
 from dataclasses import dataclass
 
-from .quaternion import Quaternion
+from .quaternion import Quaternion, _finite
 from .slices import UnitImaginary
 
 TAU = 2.0 * math.pi
@@ -124,12 +124,9 @@ def parse_path(obj: dict) -> Path:
             raise ValueError("polyline spec needs a 'points' list with >= 2 entries")
         return PolyLine(tuple(Quaternion.from_list(p) for p in pts))
     if kind == "circle":
-        center = obj.get("center")
-        radius = obj.get("radius")
-        turns = obj.get("turns", 1.0)
-        for name, v in (("center", center), ("radius", radius), ("turns", turns)):
-            if not isinstance(v, (int, float)) or isinstance(v, bool):
-                raise ValueError(f"circle spec needs a numeric {name!r}")
+        center = _finite(obj.get("center"), "circle 'center'")
+        radius = _finite(obj.get("radius"), "circle 'radius'")
+        turns = _finite(obj.get("turns", 1.0), "circle 'turns'")
         u = UnitImaginary(Quaternion.from_list(obj.get("u")))
-        return SliceCircle(float(center), float(radius), u, float(turns))
+        return SliceCircle(center, radius, u, turns)
     raise ValueError(f"unknown path kind {kind!r}")

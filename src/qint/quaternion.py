@@ -1,6 +1,7 @@
 """Hamilton quaternion arithmetic on IEEE-754 doubles."""
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import ZeroDivisorError
@@ -8,13 +9,22 @@ from .errors import ZeroDivisorError
 Number = int | float
 
 
+def _finite(value, what: str) -> float:
+    """A parsed JSON number as a float; rejects booleans, NaN and infinities."""
+    # the comparison is exact for ints of any size and false for NaN
+    if (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max):
+        return float(value)
+    raise ValueError(f"{what} must be a finite number, got {value!r}")
+
+
 @dataclass(slots=True)
 class Quaternion:
     """A quaternion w + i*x1 + j*x2 + k*x3.
 
     Treated as an immutable value: no operation mutates its operands, so
-    instances are safe to share across threads. Component order (w, x1,
-    x2, x3) is also the serialization order.
+    instances are safe to share. Component order (w, x1, x2, x3) is also
+    the serialization order.
     """
 
     w: float = 0.0
@@ -91,16 +101,7 @@ class Quaternion:
             raise ValueError(f"expected a 4-component list, got {values!r}")
         if len(values) != 4:
             raise ValueError(f"expected 4 components, got {len(values)}")
-        comps = []
-        for v in values:
-            if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
-                raise ValueError(f"quaternion components must be finite numbers, got {v!r}")
-            comps.append(float(v))
-        return cls(*comps)
-
-    @classmethod
-    def from_real(cls, t: float) -> "Quaternion":
-        return cls(float(t), 0.0, 0.0, 0.0)
+        return cls(*(_finite(v, "quaternion component") for v in values))
 
 
 ZERO = Quaternion(0.0, 0.0, 0.0, 0.0)

@@ -61,9 +61,6 @@ class SlicePoint:
         q = self.u.scaled(self.r)
         return Quaternion(self.xi0, q.x1, q.x2, q.x3)
 
-    def as_complex(self) -> complex:
-        return complex(self.xi0, self.r)
-
 
 @dataclass(frozen=True, slots=True)
 class DeltaSplit:
@@ -91,10 +88,6 @@ def decompose_delta(x: Quaternion, delta: Quaternion, eps_axis: float = EPS_AXIS
     t = delta.x1 * u.x1 + delta.x2 * u.x2 + delta.x3 * u.x3
     par = Quaternion(delta.w, t * u.x1, t * u.x2, t * u.x3)
     return DeltaSplit(par, delta - par)
-
-
-def _slice_complex(x: Quaternion) -> complex:
-    return complex(x.w, x.imag_norm())
 
 
 def eval_function(F: AnalyticFunction, x: Quaternion, eps_axis: float = EPS_AXIS) -> Quaternion:

@@ -285,15 +285,15 @@ def check_antiderivative(tol: Tolerances) -> CheckReport:
                 "steps": n})
 
 
-def check_mutual_oracle(tol: Tolerances, threads: int = 1) -> CheckReport:
+def check_mutual_oracle(tol: Tolerances) -> CheckReport:
     """Staircase and ds-quadrature agree on every catalog function/path pair."""
     n = 10_000
     residuals = []
     pairs = []
     for fname, F in catalog_functions().items():
         for pname, path in catalog_paths().items():
-            a = integrate(F, path, n, threads=threads).value
-            b = integrate_slice_quadrature(F, path, n, threads=threads).value
+            a = integrate(F, path, n).value
+            b = integrate_slice_quadrature(F, path, n).value
             residuals.append((a - b).norm())
             pairs.append([fname, pname])
     return CheckReport(
@@ -302,14 +302,14 @@ def check_mutual_oracle(tol: Tolerances, threads: int = 1) -> CheckReport:
         config={"steps": n, "pairs": pairs})
 
 
-def check_ftc_catalog(tol: Tolerances, threads: int = 1) -> CheckReport:
+def check_ftc_catalog(tol: Tolerances) -> CheckReport:
     """Forward fundamental theorem across the whole catalog at modest N."""
     n_list = [400, 2000, 10_000]
     residuals = []
     failing = []
     for fname, F in catalog_functions().items():
         for pname, path in catalog_paths().items():
-            rep = verify_ftc_forward(F, path, n_list, tol, threads=threads)
+            rep = verify_ftc_forward(F, path, n_list, tol)
             residuals.append(rep.residuals[-1])
             if not rep.passed:
                 failing.append([fname, pname])
@@ -402,8 +402,7 @@ EXTRA_CHECKS = (
 )
 
 
-def run_suite(name: str = "default", tol: Tolerances | None = None,
-              threads: int = 1) -> list[CheckReport]:
+def run_suite(name: str = "default", tol: Tolerances | None = None) -> list[CheckReport]:
     """Run a named suite and return its reports in execution order."""
     tol = tol or Tolerances()
     if name == "default":
@@ -412,10 +411,4 @@ def run_suite(name: str = "default", tol: Tolerances | None = None,
         checks = DEFAULT_CHECKS + EXTRA_CHECKS
     else:
         raise ValueError(f"unknown suite {name!r}; expected 'default' or 'all'")
-    reports = []
-    for fn in checks:
-        if fn in (check_mutual_oracle, check_ftc_catalog):
-            reports.append(fn(tol, threads=threads))
-        else:
-            reports.append(fn(tol))
-    return reports
+    return [fn(tol) for fn in checks]

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field, fields, replace
 
 from .differential import differential
 from .functions import AnalyticFunction, antiderivative
-from .integrate import (EXACT_FLOOR, _KahanQuat, convergence_study,
+from .integrate import (EXACT_FLOOR, _chords, _qsum, convergence_study,
                         endpoint_reference, integrate)
 from .paths import Line, Path
 from .quaternion import Quaternion
@@ -115,11 +115,11 @@ def _decaying(errors: list[float], slack: float, floor: float) -> bool:
 
 def verify_ftc_forward(F: AnalyticFunction, path: Path, n_list: list[int],
                        tol: Tolerances | None = None, rule: str = "left",
-                       threads: int = 1, label: str = "ftc_forward") -> CheckReport:
+                       label: str = "ftc_forward") -> CheckReport:
     """Staircase value converges to F(end) - F(start): errors decay with N
     and the finest one is small relative to the endpoint difference."""
     tol = tol or Tolerances()
-    study = convergence_study(F, path, n_list, rule=rule, threads=threads)
+    study = convergence_study(F, path, n_list, rule=rule)
     errors = [err for _, _, err in study.rows]
     scale = max(1.0, study.reference.norm())
     passed = (_decaying(errors, tol.decay_slack, tol.exact_floor)
@@ -132,8 +132,7 @@ def verify_ftc_forward(F: AnalyticFunction, path: Path, n_list: list[int],
 
 
 def inverse_ftc_residual(F: AnalyticFunction, x: Quaternion, delta: Quaternion,
-                         steps: int, base: Quaternion = DEFAULT_BASE,
-                         threads: int = 1) -> float:
+                         steps: int, base: Quaternion = DEFAULT_BASE) -> float:
     """|[G(x+delta) - G(x)] - differential(F, x, delta)| for the indefinite
     staircase integral G(y) from a fixed base point.
 
@@ -147,9 +146,9 @@ def inverse_ftc_residual(F: AnalyticFunction, x: Quaternion, delta: Quaternion,
     if (base - x).norm() == 0.0:
         g_x = Quaternion(0.0, 0.0, 0.0, 0.0)
     else:
-        g_x = integrate(F, Line(base, x), steps, threads=threads).value
-    leg_par = integrate(F, Line(x, x_mid), steps, threads=threads).value
-    leg_perp = integrate(F, Line(x_mid, x_end), steps, threads=threads).value
+        g_x = integrate(F, Line(base, x), steps).value
+    leg_par = integrate(F, Line(x, x_mid), steps).value
+    leg_perp = integrate(F, Line(x_mid, x_end), steps).value
     g_x_delta = g_x + leg_par + leg_perp
     return ((g_x_delta - g_x) - differential(F, x, delta)).norm()
 
@@ -176,24 +175,13 @@ def by_parts_residual(F: AnalyticFunction, G: AnalyticFunction, path: Path,
     matters, F multiplies from the left in one term and G from the right in
     the other.
     """
-    n = steps
-    h = 1.0 / n
-    acc = _KahanQuat()
-    prev = path.point(0.0)
-    f_prev = eval_function(F, prev)
-    g_prev = eval_function(G, prev)
-    for k in range(1, n + 1):
-        cur = path.point(k * h)
-        d = cur - prev
-        acc.add(f_prev * differential(G, prev, d))
-        acc.add(differential(F, prev, d) * g_prev)
-        prev = cur
-        f_prev = eval_function(F, prev)
-        g_prev = eval_function(G, prev)
+    total = _qsum(term for _, x, d in _chords(path, steps, "left")
+                  for term in (eval_function(F, x) * differential(G, x, d),
+                               differential(F, x, d) * eval_function(G, x)))
     start, end = path.start, path.end
     boundary = (eval_function(F, end) * eval_function(G, end)
                 - eval_function(F, start) * eval_function(G, start))
-    return (acc.total() - boundary).norm(), boundary
+    return (total - boundary).norm(), boundary
 
 
 def verify_integration_by_parts(F: AnalyticFunction, G: AnalyticFunction, path: Path,

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 
@@ -87,6 +88,15 @@ def test_quarter_steps_are_accepted():
     assert_close(rep.reference, Quaternion(0, 2 * math.pi, 0, 0), 1e-9)
 
 
+def test_first_fault_along_the_path_is_reported():
+    # a phase jump of ~pi at s = 0.5, then a slice escape at s = 1
+    path = PolyLine((Quaternion(1, 0.1, 0, 0), Quaternion(-1, 0.1, 0, 0),
+                     Quaternion(-1, 0, 1, 0)))
+    with pytest.raises(StepTooCoarseError) as exc:
+        integrate_with_branch_tracking(LN, path, 2)
+    assert exc.value.s_param == pytest.approx(0.5)
+
+
 def test_only_ln_is_supported():
     circle = SliceCircle(0.0, 1.0, U_I, 1.0)
     with pytest.raises(UnsupportedFunctionError):
@@ -110,3 +120,14 @@ def test_report_fields_are_consistent():
     assert rep.abs_error == pytest.approx((rep.value - rep.reference).norm())
     assert rep.rows == [(5000, rep.value, rep.abs_error)]
     assert rep.est_order is None
+
+
+def test_memory_stays_bounded():
+    # a streaming pass; O(N) point lists would peak near 2 MB at this N
+    tracemalloc.start()
+    try:
+        integrate_with_branch_tracking(LN, SliceCircle(0.0, 1.0, U_I, 3.0), 10_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000

@@ -57,6 +57,37 @@ def test_log_branch_point_exits_2(capsys):
     assert "domain error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "--fn", '{"kind": "series", "coeffs": [1, NaN]}', "--at", "[0.5, 1, 0, 0]"],
+    ["eval", "--fn", '{"kind": "series", "coeffs": [1, 1], "radius": NaN}',
+     "--at", "[0.5, 1, 0, 0]"],
+    ["eval", "--fn", '{"kind": "scaled", "factor": Infinity, "inner": {"kind": "named", '
+     '"name": "exp"}}', "--at", "[0.5, 1, 0, 0]"],
+    ["eval", "--fn", "exp", "--at", "[0.5, -Infinity, 0, 0]"],
+    ["integrate", "--fn", "exp", "--steps", "10", "--path",
+     '{"kind": "circle", "center": NaN, "radius": 1, "u": [0, 1, 0, 0]}'],
+    ["integrate", "--fn", "exp", "--steps", "10", "--path",
+     '{"kind": "circle", "center": 0, "radius": Infinity, "u": [0, 1, 0, 0]}'],
+    ["integrate", "--fn", "exp", "--steps", "10", "--path",
+     '{"kind": "circle", "center": 0, "radius": 1, "u": [0, 1, 0, 0], "turns": NaN}'],
+])
+def test_non_finite_json_numbers_exit_1(argv, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "parse error" in err[0] and "finite" in err[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--fn", "exp", "--at", "[1000, 1, 0, 0]"],
+    ["integrate", "--fn", "exp", "--steps", "10", "--path",
+     '{"kind": "line", "a": [700, 1, 0, 0], "b": [720, 1, 0, 0]}'],
+])
+def test_overflow_is_a_domain_error(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "domain error" in err[0] and "overflow" in err[0]
+
+
 def test_missing_subcommand_exits_1(capsys):
     assert main([]) == 1
 
@@ -66,6 +97,7 @@ def test_usage_errors_exit_1(capsys):
     assert main(["integrate", "--fn", "exp", "--path", LINE_0_TO_J,
                  "--rule", "simpson"]) == 1
     assert main(["verify", "--suite", "nightly"]) == 1
+    assert main(["verify", "--threads", "2"]) == 1
 
 
 def test_integrate_square_to_j(capsys):
@@ -161,7 +193,7 @@ def _fake_reports(all_pass):
 
 
 def test_verify_all_green(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "run_suite", lambda suite, tol, threads=1: _fake_reports(True))
+    monkeypatch.setattr(cli, "run_suite", lambda suite, tol: _fake_reports(True))
     rc = main(["verify", "--suite", "default"])
     out = capsys.readouterr().out
     assert rc == 0
@@ -170,7 +202,7 @@ def test_verify_all_green(monkeypatch, capsys):
 
 
 def test_verify_failure_exits_3(monkeypatch, tmp_path, capsys):
-    monkeypatch.setattr(cli, "run_suite", lambda suite, tol, threads=1: _fake_reports(False))
+    monkeypatch.setattr(cli, "run_suite", lambda suite, tol: _fake_reports(False))
     out_file = tmp_path / "report.json"
     rc = main(["verify", "--suite", "default", "--out", str(out_file)])
     out = capsys.readouterr().out
@@ -180,18 +212,6 @@ def test_verify_failure_exits_3(monkeypatch, tmp_path, capsys):
         doc = json.load(fh)
     assert [d["pass"] for d in doc] == [True, False]
     assert doc[0]["check"] == "alpha"
-
-
-def test_verify_threads_forwarded(monkeypatch, capsys):
-    seen = {}
-
-    def fake(suite, tol, threads=1):
-        seen["suite"], seen["threads"] = suite, threads
-        return _fake_reports(True)
-
-    monkeypatch.setattr(cli, "run_suite", fake)
-    assert main(["verify", "--suite", "all", "--threads", "4"]) == 0
-    assert seen == {"suite": "all", "threads": 4}
 
 
 def test_verify_invalid_tolerance_env_exits_1(monkeypatch, capsys):

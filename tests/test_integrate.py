@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import assert_close, quaternions
 from qint import (DegenerateSliceError, DomainError, Line, MissingReferenceError,
-                  Monomial, NamedFunction, PolyLine, PowerSeries, Quaternion,
+                  Monomial, NamedFunction, PowerSeries, Quaternion,
                   SliceCircle, UnitImaginary, convergence_study, endpoint_reference,
                   eval_function, integrate, integrate_slice_quadrature)
 
@@ -163,14 +163,3 @@ def test_reference_and_error_populated():
     assert_close(rep.reference, ref, 1e-15)
     assert rep.abs_error == pytest.approx((rep.value - ref).norm())
     assert rep.rows == [(100, rep.value, rep.abs_error)]
-
-
-def test_threads_agree_with_sequential():
-    path = PolyLine((Quaternion(1, 1, 0, 0), Quaternion(1.5, 0.5, 0.5, 0),
-                     Quaternion(1, 0, 1, 0)))
-    seq = integrate(NamedFunction("sin"), path, 999).value
-    par = integrate(NamedFunction("sin"), path, 999, threads=4).value
-    assert (seq - par).norm() <= 1e-12
-    seq_q = integrate_slice_quadrature(NamedFunction("sin"), path, 999).value
-    par_q = integrate_slice_quadrature(NamedFunction("sin"), path, 999, threads=3).value
-    assert (seq_q - par_q).norm() <= 1e-12
