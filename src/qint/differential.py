@@ -20,26 +20,32 @@ def differential(F: AnalyticFunction, x: Quaternion, delta: Quaternion,
     On the real axis (r <= eps_axis) both coefficient factors collapse to
     f'(xi0) and the result is the ordinary f'(x)*delta.
     """
-    r2 = x.x1 * x.x1 + x.x2 * x.x2 + x.x3 * x.x3
-    r = math.sqrt(r2)
+    return Quaternion(*_differential(F, x.w, x.x1, x.x2, x.x3,
+                                     delta.w, delta.x1, delta.x2, delta.x3, eps_axis))
+
+
+def _differential(F: AnalyticFunction, xw: float, x1: float, x2: float, x3: float,
+                  dw: float, d1: float, d2: float, d3: float,
+                  eps_axis: float) -> tuple[float, float, float, float]:
+    """differential() on bare components, returning (w, x1, x2, x3); the
+    staircase kernel calls it without building a Quaternion per step."""
+    r = math.sqrt(x1 * x1 + x2 * x2 + x3 * x3)
     if r <= eps_axis:
-        d = F.deriv_complex(complex(x.w, 0.0)).real
-        return Quaternion(d * delta.w, d * delta.x1, d * delta.x2, d * delta.x3)
-    z = complex(x.w, r)
+        d = F.deriv_complex(complex(xw, 0.0)).real
+        return d * dw, d * d1, d * d2, d * d3
+    z = complex(xw, r)
     fp = F.deriv_complex(z)          # F'(x) = c + d*u in the slice
     q = F.eval_complex(z).imag / r   # perpendicular quotient b/r
     c, d = fp.real, fp.imag
-    u1, u2, u3 = x.x1 / r, x.x2 / r, x.x3 / r
+    u1, u2, u3 = x1 / r, x2 / r, x3 / r
     # delta = [dw + t*u] (parallel, complex in the slice) + rejection (perp)
-    t = delta.x1 * u1 + delta.x2 * u2 + delta.x3 * u3
-    pw = c * delta.w - d * t         # (c + d*i)(dw + t*i), real part
-    pv = c * t + d * delta.w         # imaginary coefficient along u
-    return Quaternion(
-        pw,
-        pv * u1 + q * (delta.x1 - t * u1),
-        pv * u2 + q * (delta.x2 - t * u2),
-        pv * u3 + q * (delta.x3 - t * u3),
-    )
+    t = d1 * u1 + d2 * u2 + d3 * u3
+    pw = c * dw - d * t              # (c + d*i)(dw + t*i), real part
+    pv = c * t + d * dw              # imaginary coefficient along u
+    return (pw,
+            pv * u1 + q * (d1 - t * u1),
+            pv * u2 + q * (d2 - t * u2),
+            pv * u3 + q * (d3 - t * u3))
 
 
 def differential_reference(F: AnalyticFunction, x: Quaternion, delta: Quaternion,

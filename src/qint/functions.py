@@ -14,10 +14,6 @@ from typing import Callable
 from .errors import DomainError, UnsupportedFunctionError
 from .quaternion import _finite
 
-# Series terms smaller than this fraction of the partial sum stop the summation.
-TRUNCATION_RTOL = 1e-16
-
-
 class AnalyticFunction:
     """Base for functions evaluable (with derivative) on any complex slice."""
 
@@ -41,15 +37,13 @@ class AnalyticFunction:
         raise NotImplementedError
 
 
-def _sum_series(coeffs, z: complex) -> complex:
+def _horner(reversed_coeffs: tuple[float, ...], z: complex) -> complex:
     total = 0j
-    zp = 1 + 0j
-    for c in coeffs:
-        term = c * zp
-        total += term
-        if term != 0 and total != 0 and abs(term) <= TRUNCATION_RTOL * abs(total):
-            break
-        zp *= z
+    for c in reversed_coeffs:
+        total = total * z + c
+    if not cmath.isfinite(total):
+        # float overflow raises nothing; make it loud, as cmath's functions do
+        raise OverflowError("power series value out of range")
     return total
 
 
@@ -57,8 +51,7 @@ def _sum_series(coeffs, z: complex) -> complex:
 class PowerSeries(AnalyticFunction):
     """Finite list of real coefficients c0..cM with a radius of convergence.
 
-    Evaluation sums terms in order and stops early once a nonzero term
-    drops below TRUNCATION_RTOL of the partial sum; points with
+    Evaluation runs Horner's rule over every coefficient; points with
     |z| >= radius are rejected.
     """
 
@@ -69,6 +62,10 @@ class PowerSeries(AnalyticFunction):
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
         if not (self.radius > 0.0):
             raise ValueError("radius of convergence must be positive")
+        # Horner order, kept outside the fields so eq, hash and repr ignore it
+        object.__setattr__(self, "_eval_rev", self.coeffs[::-1])
+        object.__setattr__(self, "_deriv_rev",
+                           tuple(n * c for n, c in enumerate(self.coeffs))[:0:-1])
 
     def _check_domain(self, z: complex) -> None:
         if abs(z) >= self.radius:
@@ -76,11 +73,11 @@ class PowerSeries(AnalyticFunction):
 
     def eval_complex(self, z: complex) -> complex:
         self._check_domain(z)
-        return _sum_series(self.coeffs, z)
+        return _horner(self._eval_rev, z)
 
     def deriv_complex(self, z: complex) -> complex:
         self._check_domain(z)
-        return _sum_series([n * c for n, c in enumerate(self.coeffs)][1:], z)
+        return _horner(self._deriv_rev, z)
 
     def __mul__(self, other: "PowerSeries") -> "PowerSeries":
         if not isinstance(other, PowerSeries):

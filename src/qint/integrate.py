@@ -9,9 +9,9 @@ import statistics
 from dataclasses import dataclass, field
 from itertools import chain, islice
 from operator import attrgetter
-from typing import Iterable, Iterator
+from typing import Iterable
 
-from .differential import differential
+from .differential import _differential
 from .errors import (DegenerateSliceError, DomainError, MissingReferenceError,
                      SliceEscapeError, StepTooCoarseError, UnsupportedFunctionError)
 from .functions import AnalyticFunction, NamedFunction
@@ -29,7 +29,7 @@ SLICE_REJECTION_TOL = 1e-9
 # Unwrapping slack: per-step phase change may exceed pi/2 by rounding only.
 UNWRAP_SLACK = 1e-9
 
-# Terms per math.fsum call in _qsum; bounds its memory.
+# Terms per math.fsum call in _fold; bounds the memory of every sum.
 _SUM_CHUNK = 1024
 
 
@@ -51,24 +51,27 @@ class IntegrationReport:
         return all(err is not None and err <= floor for _, _, err in self.rows)
 
 
-def _qsum(terms: Iterable[Quaternion]) -> Quaternion:
-    """Component-wise compensated sum of a stream of quaternions.
+def _fold(carry: list[tuple[float, float]],
+          columns: Iterable[Iterable[float]]) -> list[tuple[float, float]]:
+    """Fold one chunk of terms, a column of floats per component, into carry,
+    a (total, remainder) pair per component. math.fsum (Shewchuk's correctly
+    rounded summation) adds each column to both, so folding chunk after chunk
+    matches one fsum over all terms to about 2**-106 relative."""
+    new = []
+    for (hi, lo), col in zip(carry, columns):
+        xs = [hi, lo, *col]
+        total = math.fsum(xs)
+        xs.append(-total)
+        new.append((total, math.fsum(xs)))
+    return new
 
-    math.fsum (Shewchuk's correctly rounded summation) runs over chunks of
-    _SUM_CHUNK terms. Each chunk is seeded with the running total and the
-    remainder its rounding dropped, so the result matches one fsum over all
-    terms to about 2**-106 relative while memory stays bounded.
-    """
+
+def _qsum(terms: Iterable[Quaternion]) -> Quaternion:
+    """Component-wise compensated sum of a stream of quaternions."""
     it = iter(terms)
-    carry = [(0.0, 0.0)] * 4  # (total, remainder) per component
+    carry = [(0.0, 0.0)] * 4
     while chunk := list(islice(it, _SUM_CHUNK)):
-        new = []
-        for (hi, lo), get in zip(carry, map(attrgetter, ("w", "x1", "x2", "x3"))):
-            xs = [hi, lo, *map(get, chunk)]
-            total = math.fsum(xs)
-            xs.append(-total)
-            new.append((total, math.fsum(xs)))
-        carry = new
+        carry = _fold(carry, zip(*map(attrgetter("w", "x1", "x2", "x3"), chunk)))
     return Quaternion(*(hi for hi, _ in carry))
 
 
@@ -98,30 +101,51 @@ def _single_report(steps: int, value: Quaternion, ref: Quaternion | None) -> Int
                              rows=[(steps, value, err)])
 
 
-def _check_axis_eval(F: AnalyticFunction, x: Quaternion, s: float, eps_axis: float) -> bool:
-    """Raise at a real-axis evaluation point of a non-entire F; else True."""
+def _check_axis_eval(F: AnalyticFunction, x: Quaternion, s: float, eps_axis: float) -> None:
+    """Raise at a real-axis evaluation point of a non-entire F."""
     if x.imag_norm() <= eps_axis and not F.is_entire:
         raise DegenerateSliceError(
             "evaluation point on the real axis for a non-entire function",
             s_param=s)
-    return True
 
 
-def _chords(path: Path, steps: int,
-            rule: str) -> Iterator[tuple[float, Quaternion, Quaternion]]:
-    """Yield (s_eval, x_eval, x_n - x_{n-1}) for n = 1..steps of a uniform
-    subdivision; x_eval is the chord start ('left') or the path point at the
-    parameter midpoint ('midpoint')."""
+def _staircase(F: AnalyticFunction, path: Path, steps: int, rule: str,
+               eps_axis: float) -> Quaternion:
+    """Sum of differential(F, x_eval, x_n - x_{n-1}) over n = 1..steps on bare
+    floats: the float operations of differential() in the same order, so the
+    same value bit for bit, with no Quaternion built per step."""
+    coords = path.coords
+    check_axis = not F.is_entire
+    midpoint = rule == "midpoint"
+    lag = 0.5 if midpoint else 1.0  # step n evaluates at s = (n - lag) / steps
     inv = 1.0 / steps
-    prev = path.point(0.0)
-    for n in range(1, steps + 1):
-        cur = path.point(n * inv)
-        if rule == "left":
-            yield (n - 1) * inv, prev, cur - prev
-        else:
-            s_eval = (n - 0.5) * inv
-            yield s_eval, path.point(s_eval), cur - prev
-        prev = cur
+    carry = [(0.0, 0.0)] * 4
+    pw, p1, p2, p3 = coords(0.0)
+    try:
+        for first in range(1, steps + 1, _SUM_CHUNK):
+            cw, c1, c2, c3 = columns = ([], [], [], [])
+            for n in range(first, min(first + _SUM_CHUNK, steps + 1)):
+                w, a1, a2, a3 = coords(n * inv)
+                xw, x1, x2, x3 = coords((n - lag) * inv) if midpoint else (pw, p1, p2, p3)
+                if check_axis and math.sqrt(x1 * x1 + x2 * x2 + x3 * x3) <= eps_axis:
+                    raise DegenerateSliceError(
+                        "evaluation point on the real axis for a non-entire function",
+                        s_param=(n - lag) * inv)
+                tw, t1, t2, t3 = _differential(F, xw, x1, x2, x3, w - pw, a1 - p1, a2 - p2,
+                                               a3 - p3, eps_axis)
+                cw.append(tw)
+                c1.append(t1)
+                c2.append(t2)
+                c3.append(t3)
+                pw, p1, p2, p3 = w, a1, a2, a3
+            carry = _fold(carry, columns)
+    except OverflowError as e:
+        raise DomainError(f"overflow ({e})", s_param=(n - lag) * inv) from e
+    except DomainError as e:
+        if e.s_param is None:
+            e.s_param = (n - lag) * inv
+        raise
+    return Quaternion(*(hi for hi, _ in carry))
 
 
 def integrate(F: AnalyticFunction, path: Path, steps: int, rule: str = "left",
@@ -131,16 +155,15 @@ def integrate(F: AnalyticFunction, path: Path, steps: int, rule: str = "left",
     rule='left' evaluates at the segment start (first-order accurate);
     rule='midpoint' evaluates at the path midpoint of the segment
     (second-order). Compensated summation keeps the telescoping case
-    (F = x, any N) at rounding noise.
+    (F = x, any N) at rounding noise. The sum runs through a float-level
+    kernel that equals summing the differential() terms, and a failure names
+    the evaluation point's s.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if rule not in ("left", "midpoint"):
         raise ValueError(f"unknown rule {rule!r}; expected 'left' or 'midpoint'")
-    chords = _chords(path, steps, rule)
-    if not F.is_entire:
-        chords = (c for c in chords if _check_axis_eval(F, c[1], c[0], eps_axis))
-    value = _qsum(differential(F, x, d, eps_axis) for _, x, d in chords)
+    value = _staircase(F, path, steps, rule, eps_axis)
     return _single_report(steps, value, _try_reference(F, path))
 
 
@@ -216,24 +239,26 @@ def integrate_with_branch_tracking(F: AnalyticFunction, path: Path, steps: int,
     n = steps
     h = 1.0 / n
 
+    coords = path.coords
     u = (0.0, 0.0, 0.0)  # kept on a path along the real axis, where y = 0
     for k in range(n + 1):  # the first off-axis point fixes the slice
-        x = path.point(k * h)
-        r = x.imag_norm()
+        _, x1, x2, x3 = coords(k * h)
+        r = math.sqrt(x1 * x1 + x2 * x2 + x3 * x3)
         if r > eps_axis:
-            u = (x.x1 / r, x.x2 / r, x.x3 / r)
+            u = (x1 / r, x2 / r, x3 / r)
             break
 
     def slice_z(k: int) -> complex:
-        x = path.point(k * h)
-        y = x.x1 * u[0] + x.x2 * u[1] + x.x3 * u[2]
-        rej = math.sqrt((x.x1 - y * u[0]) ** 2 + (x.x2 - y * u[1]) ** 2
-                        + (x.x3 - y * u[2]) ** 2)
-        if rej > SLICE_REJECTION_TOL * max(1.0, x.norm()):
+        w, x1, x2, x3 = coords(k * h)
+        y = x1 * u[0] + x2 * u[1] + x3 * u[2]
+        rej = math.sqrt((x1 - y * u[0]) ** 2 + (x2 - y * u[1]) ** 2
+                        + (x3 - y * u[2]) ** 2)
+        norm = math.sqrt(w * w + x1 * x1 + x2 * x2 + x3 * x3)
+        if rej > SLICE_REJECTION_TOL * max(1.0, norm):
             raise SliceEscapeError(
                 f"point leaves the slice plane (off-plane magnitude {rej:.3e})",
                 s_param=k * h)
-        z = complex(x.w, y)
+        z = complex(w, y)
         if z == 0:
             raise DomainError("path passes through 0, where ln is singular",
                               s_param=k * h)
@@ -241,11 +266,10 @@ def integrate_with_branch_tracking(F: AnalyticFunction, path: Path, steps: int,
 
     z_first = z_prev = slice_z(0)
     phase = total_phase = cmath.phase(z_first)
-
-    def terms() -> Iterator[Quaternion]:
-        # complex terms ride in the i-slice so that _qsum can add them
-        nonlocal z_prev, total_phase
-        for k in range(1, n + 1):
+    carry = [(0.0, 0.0)] * 2  # the real and imaginary parts of the sum
+    for first in range(1, n + 1, _SUM_CHUNK):
+        terms = []
+        for k in range(first, min(first + _SUM_CHUNK, n + 1)):
             z = slice_z(k)
             step = math.remainder(cmath.phase(z) - total_phase, math.tau)
             if abs(step) > 0.5 * math.pi + UNWRAP_SLACK:
@@ -253,15 +277,13 @@ def integrate_with_branch_tracking(F: AnalyticFunction, path: Path, steps: int,
                     f"phase jump {abs(step):.3f} rad exceeds pi/2; increase steps",
                     s_param=k * h)
             total_phase += step
-            t = (z - z_prev) / z_prev
+            terms.append((z - z_prev) / z_prev)
             z_prev = z
-            yield Quaternion(t.real, t.imag, 0.0, 0.0)
-
-    total = _qsum(terms())
+        carry = _fold(carry, ([t.real for t in terms], [t.imag for t in terms]))
 
     def to_quaternion(re: float, im: float) -> Quaternion:
         return Quaternion(re, im * u[0], im * u[1], im * u[2])
 
-    return _single_report(n, to_quaternion(total.w, total.x1),
+    return _single_report(n, to_quaternion(carry[0][0], carry[1][0]),
                           to_quaternion(math.log(abs(z_prev)) - math.log(abs(z_first)),
                                         total_phase - phase))

@@ -1,7 +1,7 @@
-"""Parameterized curves in quaternion space, each exposing point(s) on [0, 1].
+"""Parameterized curves in quaternion space, each exposing coords(s) on [0, 1].
 
 Integration samples these at uniform s and connects the samples with straight
-chords, so only point() and the endpoints matter to the rest of the library.
+chords, so only coords() and the endpoints matter to the rest of the library.
 """
 
 import math
@@ -12,19 +12,26 @@ from .slices import UnitImaginary
 
 TAU = 2.0 * math.pi
 
+# (w, x1, x2, x3) of one point, the form integration reads paths in
+_Coords = tuple[float, float, float, float]
 
-def _lerp(a: Quaternion, b: Quaternion, t: float) -> Quaternion:
+
+def _lerp(a: Quaternion, b: Quaternion, t: float) -> _Coords:
     # (1-t)*a + t*b hits both endpoints exactly, unlike a + t*(b-a)
     s = 1.0 - t
-    return Quaternion(s * a.w + t * b.w, s * a.x1 + t * b.x1,
-                      s * a.x2 + t * b.x2, s * a.x3 + t * b.x3)
+    return (s * a.w + t * b.w, s * a.x1 + t * b.x1,
+            s * a.x2 + t * b.x2, s * a.x3 + t * b.x3)
 
 
 class Path:
-    """Base: a piecewise-smooth curve with point(s) for s in [0, 1]."""
+    """Base: a piecewise-smooth curve with coords(s) for s in [0, 1]."""
+
+    def coords(self, s: float) -> _Coords:
+        """The components (w, x1, x2, x3) of the point at parameter s."""
+        raise NotImplementedError
 
     def point(self, s: float) -> Quaternion:
-        raise NotImplementedError
+        return Quaternion(*self.coords(s))
 
     @property
     def start(self) -> Quaternion:
@@ -45,7 +52,7 @@ class Line(Path):
     a: Quaternion
     b: Quaternion
 
-    def point(self, s: float) -> Quaternion:
+    def coords(self, s: float) -> _Coords:
         return _lerp(self.a, self.b, s)
 
     def to_json(self) -> dict:
@@ -63,7 +70,7 @@ class PolyLine(Path):
         if len(self.waypoints) < 2:
             raise ValueError("polyline needs at least 2 waypoints")
 
-    def point(self, s: float) -> Quaternion:
+    def coords(self, s: float) -> _Coords:
         k = len(self.waypoints) - 1
         t = s * k
         seg = min(int(math.floor(t)), k - 1)
@@ -93,12 +100,12 @@ class SliceCircle(Path):
         if not (self.radius > 0.0):
             raise ValueError("radius must be positive")
 
-    def point(self, s: float) -> Quaternion:
+    def coords(self, s: float) -> _Coords:
         t = self.turns * s
         th = TAU * (t - math.floor(t))
         b = self.radius * math.sin(th)
-        return Quaternion(self.center + self.radius * math.cos(th),
-                          b * self.u.x1, b * self.u.x2, b * self.u.x3)
+        return (self.center + self.radius * math.cos(th),
+                b * self.u.x1, b * self.u.x2, b * self.u.x3)
 
     def to_json(self) -> dict:
         return {"kind": "circle", "center": self.center, "radius": self.radius,

@@ -5,6 +5,7 @@ increment splitting all happen in that plane.
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import DegenerateSliceError
 from .functions import AnalyticFunction
@@ -90,28 +91,31 @@ def decompose_delta(x: Quaternion, delta: Quaternion, eps_axis: float = EPS_AXIS
     return DeltaSplit(par, delta - par)
 
 
+def _lift(f: Callable[[complex], complex], x: Quaternion) -> Quaternion:
+    """f(xi0 + i*r) = a + i*b mapped to a + b*u, u = (x - xi0)/r. Only r == 0
+    snaps to the real a; hypot and u_i = x_i/r keep the lift continuous near
+    the axis and finite at subnormal r."""
+    r = math.hypot(x.x1, x.x2, x.x3)
+    fz = f(complex(x.w, r))
+    if r == 0.0:
+        return Quaternion(fz.real, 0.0, 0.0, 0.0)
+    b = fz.imag
+    return Quaternion(fz.real, b * (x.x1 / r), b * (x.x2 / r), b * (x.x3 / r))
+
+
 def eval_function(F: AnalyticFunction, x: Quaternion, eps_axis: float = EPS_AXIS) -> Quaternion:
     """F(x) through the slice: f(xi0 + i*r) = a + i*b maps to a + b*u.
 
     At real x this is just the real function value. Conjugating x conjugates
     the result exactly, because a and b are shared and only u flips.
+    eps_axis is unused and kept for call compatibility (see _lift).
     """
-    r = x.imag_norm()
-    fz = F.eval_complex(complex(x.w, r))
-    if r <= eps_axis:
-        return Quaternion(fz.real, 0.0, 0.0, 0.0)
-    s = fz.imag / r
-    return Quaternion(fz.real, s * x.x1, s * x.x2, s * x.x3)
+    return _lift(F.eval_complex, x)
 
 
 def eval_derivative(F: AnalyticFunction, x: Quaternion, eps_axis: float = EPS_AXIS) -> Quaternion:
     """F'(x) through the slice, same mapping as eval_function."""
-    r = x.imag_norm()
-    fz = F.deriv_complex(complex(x.w, r))
-    if r <= eps_axis:
-        return Quaternion(fz.real, 0.0, 0.0, 0.0)
-    s = fz.imag / r
-    return Quaternion(fz.real, s * x.x1, s * x.x2, s * x.x3)
+    return _lift(F.deriv_complex, x)
 
 
 def perp_quotient(F: AnalyticFunction, x: Quaternion, eps_axis: float = EPS_AXIS) -> float:

@@ -7,11 +7,12 @@ measured residuals, never a bare boolean.
 import json
 import os
 from dataclasses import dataclass, field, fields, replace
+from itertools import pairwise
 
 from .differential import differential
 from .functions import AnalyticFunction, antiderivative
-from .integrate import (EXACT_FLOOR, _chords, _qsum, convergence_study,
-                        endpoint_reference, integrate)
+from .integrate import (EXACT_FLOOR, _qsum, convergence_study, endpoint_reference,
+                        integrate)
 from .paths import Line, Path
 from .quaternion import Quaternion
 from .slices import decompose_delta, eval_function
@@ -175,9 +176,11 @@ def by_parts_residual(F: AnalyticFunction, G: AnalyticFunction, path: Path,
     matters, F multiplies from the left in one term and G from the right in
     the other.
     """
-    total = _qsum(term for _, x, d in _chords(path, steps, "left")
-                  for term in (eval_function(F, x) * differential(G, x, d),
-                               differential(F, x, d) * eval_function(G, x)))
+    inv = 1.0 / steps
+    nodes = pairwise(path.point(k * inv) for k in range(steps + 1))
+    total = _qsum(term for x, b in nodes
+                  for term in (eval_function(F, x) * differential(G, x, b - x),
+                               differential(F, x, b - x) * eval_function(G, x)))
     start, end = path.start, path.end
     boundary = (eval_function(F, end) * eval_function(G, end)
                 - eval_function(F, start) * eval_function(G, start))

@@ -81,11 +81,29 @@ def test_non_finite_json_numbers_exit_1(argv, capsys):
     ["eval", "--fn", "exp", "--at", "[1000, 1, 0, 0]"],
     ["integrate", "--fn", "exp", "--steps", "10", "--path",
      '{"kind": "line", "a": [700, 1, 0, 0], "b": [720, 1, 0, 0]}'],
+    ["eval", "--fn", '{"kind": "series", "coeffs": [0, 1e308, 1e308]}', "--at", "[3, 1, 0, 0]"],
 ])
 def test_overflow_is_a_domain_error(argv, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and "domain error" in err[0] and "overflow" in err[0]
+
+
+def test_overflow_in_the_staircase_names_s(capsys):
+    argv = ["integrate", "--fn", "exp", "--steps", "10", "--path",
+            '{"kind": "line", "a": [700, 1, 0, 0], "b": [720, 1, 0, 0]}']
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "(at s=0.5)" in err and "overflow" in err
+
+
+@pytest.mark.parametrize("x1", ["2e-12", "1e-13", "5e-324"])
+def test_eval_off_the_cut_lifts_along_the_true_direction(x1, capsys):
+    # ln(-1 + r*i) = ~0 + (pi - r)*i for every r > 0, with no jump at EPS_AXIS
+    assert main(["eval", "--fn", "ln", "--at", f"[-1, {x1}, 0, 0]"]) == 0
+    got = printed_quaternion(capsys)
+    assert all(math.isfinite(c) for c in got)
+    assert got == pytest.approx([0.0, math.pi, 0.0, 0.0], abs=1e-11)
 
 
 def test_missing_subcommand_exits_1(capsys):

@@ -20,6 +20,15 @@ def test_series_zero_coefficients_do_not_truncate_early():
     assert f.eval_complex(2.0 + 0j) == 4.0
 
 
+def test_series_small_middle_term_does_not_stop_the_sum():
+    f = PowerSeries((1.0, 1e-20, 1e10))
+    assert f.eval_complex(1.0 + 0j) == 1e10 + 1.0
+    assert f.deriv_complex(1.0 + 0j) == 2e10
+    # cached evaluation data stays out of equality, hashing and repr
+    assert f == PowerSeries((1, 1e-20, 1e10)) and hash(f) == hash(PowerSeries((1, 1e-20, 1e10)))
+    assert repr(f) == "PowerSeries(coeffs=(1.0, 1e-20, 10000000000.0), radius=inf)"
+
+
 def test_series_rejects_outside_radius():
     f = PowerSeries((1.0, 1.0, 1.0), radius=1.0)
     f.eval_complex(0.99 + 0j)

@@ -5,11 +5,26 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import assert_close, quaternions
 from qint import (DegenerateSliceError, DomainError, Line, MissingReferenceError,
-                  Monomial, NamedFunction, PowerSeries, Quaternion,
-                  SliceCircle, UnitImaginary, convergence_study, endpoint_reference,
-                  eval_function, integrate, integrate_slice_quadrature)
+                  Monomial, NamedFunction, PolyLine, PowerSeries, Quaternion,
+                  SliceCircle, UnitImaginary, convergence_study, differential,
+                  endpoint_reference, eval_function, integrate, integrate_slice_quadrature)
 
 U_I = UnitImaginary(Quaternion(0, 1, 0, 0))
+
+# every point of the line and the polyline has x1 >= 0.6, off the real axis
+KERNEL_PATHS = {
+    "line": Line(Quaternion(0.3, 1.0, 0.5, -0.2), Quaternion(1.1, 0.6, -0.3, 0.9)),
+    "polyline": PolyLine((Quaternion(0.2, 0.7, 0, 0), Quaternion(0.5, 0.6, 0.4, 0),
+                          Quaternion(0.1, 0.8, 0.1, 0.6))),
+    "circle": SliceCircle(0.3, 0.6, UnitImaginary(Quaternion(0, 1, 2, -1)), 1.5),
+}
+KERNEL_FUNCTIONS = {
+    "exp": NamedFunction("exp"),
+    "series5": PowerSeries((1.0, -0.5, 0.25, 0.3, -0.1, 0.07)),
+    "ln": NamedFunction("ln"),
+}
+KERNEL_CASES = [(f, p) for f in ("exp", "series5") for p in KERNEL_PATHS] + [
+    ("ln", "line"), ("ln", "polyline")]
 
 
 @settings(max_examples=25, deadline=None)
@@ -163,3 +178,36 @@ def test_reference_and_error_populated():
     assert_close(rep.reference, ref, 1e-15)
     assert rep.abs_error == pytest.approx((rep.value - ref).norm())
     assert rep.rows == [(100, rep.value, rep.abs_error)]
+
+
+def summed_differentials(F, path, n, rule):
+    """Component-wise math.fsum of the public differential over the chords
+    of an n-step staircase, with each s formed as k * (1/n)."""
+    inv = 1.0 / n
+    terms = [differential(F, path.point((k - 1) * inv if rule == "left" else (k - 0.5) * inv),
+                          path.point(k * inv) - path.point((k - 1) * inv))
+             for k in range(1, n + 1)]
+    return Quaternion(*(math.fsum(getattr(t, c) for t in terms)
+                        for c in ("w", "x1", "x2", "x3")))
+
+
+@pytest.mark.parametrize("rule", ["left", "midpoint"])
+@pytest.mark.parametrize("fn,path", KERNEL_CASES)
+def test_kernel_equals_summed_public_differentials(fn, path, rule):
+    F, P = KERNEL_FUNCTIONS[fn], KERNEL_PATHS[path]
+    # one fsum chunk: the same terms rounded once, so equal bit for bit
+    assert integrate(F, P, 1000, rule=rule).value == summed_differentials(F, P, 1000, rule)
+    # several chunks, folded with a carried remainder
+    got, want = integrate(F, P, 3000, rule=rule).value, summed_differentials(F, P, 3000, rule)
+    assert (got - want).norm() <= 1e-15 * want.norm()
+
+
+def test_kernel_failures_name_the_evaluation_s():
+    far = Line(Quaternion(700, 1, 0, 0), Quaternion(720, 1, 0, 0))
+    with pytest.raises(DomainError, match="overflow") as exc:
+        integrate(NamedFunction("exp"), far, 10)
+    assert exc.value.s_param == 0.5
+    outside = Line(Quaternion(0, 0.5, 0, 0), Quaternion(2, 0.5, 0, 0))
+    with pytest.raises(DomainError, match=r"^\|z\| = .* outside radius") as exc:
+        integrate(PowerSeries((1, 1), radius=1), outside, 10)
+    assert exc.value.s_param == 0.5

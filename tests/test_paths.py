@@ -117,6 +117,16 @@ def test_path_json_round_trip():
             assert_close(q.point(s), p.point(s), 1e-15)
 
 
+@given(st.floats(min_value=0.0, max_value=1.0), quaternions(), quaternions())
+def test_point_is_coords_as_a_quaternion(s, a, b):
+    u = UnitImaginary(Quaternion(0, 1, -2, 0.5))
+    for p in (Line(a, b), PolyLine((a, b, Quaternion(0.5, 1, 0, -1))),
+              SliceCircle(a.w, 1.5, u, 2.5)):
+        c = p.coords(s)
+        assert type(c) is tuple and len(c) == 4
+        assert p.point(s) == Quaternion(*c)
+
+
 def test_circle_large_turn_count_phase_reduction():
     # phase is reduced mod one turn, so many turns lose no accuracy
     u = UnitImaginary(Quaternion(0, 1, 0, 0))
