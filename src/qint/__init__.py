@@ -16,32 +16,25 @@ from .integrate import (IntegrationReport, convergence_study, endpoint_reference
                         integrate_with_branch_tracking)
 from .paths import Line, Path, PolyLine, SliceCircle, parse_path
 from .quaternion import I, J, K, ONE, ZERO, Quaternion
-from .slices import (DeltaSplit, EPS_AXIS, SliceForm, SlicePoint, UnitImaginary,
-                     decompose_delta, eval_derivative, eval_function,
-                     perp_quotient, slice_form, slice_point)
-from .suite import catalog_functions, catalog_paths, run_suite
-from .verify import (CheckReport, Tolerances, by_parts_residual,
-                     inverse_ftc_residual, tolerances_from_env,
-                     verify_antiderivative_map, verify_ftc_forward,
-                     verify_ftc_inverse, verify_integration_by_parts)
+from .slices import (UnitImaginary, decompose_delta, eval_derivative, eval_function,
+                     perp_quotient, slice_point)
+from .suite import run_suite
+from .verify import (CheckReport, Tolerances, inverse_ftc_residual,
+                     tolerances_from_env, verify_antiderivative_map,
+                     verify_ftc_forward, verify_ftc_inverse,
+                     verify_integration_by_parts)
 
 __version__ = "0.1.0"
 
+# The API the README documents, plus the types it takes to call it and what
+# it returns or raises. The other imports above are public helpers that the
+# tests and scripts read.
 __all__ = [
-    "AnalyticFunction", "CheckReport", "DegenerateSliceError", "DeltaSplit",
-    "DomainError", "EPS_AXIS", "I", "IntegrationReport", "J", "K", "Line",
-    "MissingReferenceError", "Monomial", "NamedFunction", "ONE", "Path",
-    "PolyLine", "PowerSeries", "QintError", "Quaternion", "Scaled",
-    "SliceCircle", "SliceEscapeError", "SliceForm", "SlicePoint",
-    "StepTooCoarseError", "Tolerances", "UnitImaginary",
-    "UnsupportedFunctionError", "ZERO", "ZeroDivisorError", "antiderivative",
-    "by_parts_residual", "catalog_functions", "catalog_paths",
-    "conjugate_quotient", "convergence_study", "decompose_delta",
-    "differential", "differential_reference", "endpoint_reference",
-    "eval_derivative", "eval_function", "integrate",
-    "integrate_slice_quadrature", "integrate_with_branch_tracking",
-    "inverse_ftc_residual", "parse_function", "parse_path", "perp_quotient",
-    "run_suite", "slice_form", "slice_point", "sym_product_sum",
-    "tolerances_from_env", "verify_antiderivative_map", "verify_ftc_forward",
-    "verify_ftc_inverse", "verify_integration_by_parts",
+    "differential", "integrate", "integrate_slice_quadrature",
+    "integrate_with_branch_tracking", "run_suite", "verify_antiderivative_map",
+    "verify_ftc_forward", "verify_ftc_inverse", "verify_integration_by_parts",
+    "AnalyticFunction", "Line", "Monomial", "NamedFunction", "Path", "PolyLine",
+    "PowerSeries", "Quaternion", "Scaled", "SliceCircle", "Tolerances",
+    "UnitImaginary", "parse_function", "parse_path",
+    "CheckReport", "IntegrationReport", "QintError",
 ]

@@ -10,27 +10,29 @@ import math
 
 from .functions import AnalyticFunction
 from .quaternion import ONE, ZERO, Quaternion
-from .slices import EPS_AXIS, decompose_delta, eval_derivative, perp_quotient
+from .slices import decompose_delta, eval_derivative, perp_quotient
 
 
-def differential(F: AnalyticFunction, x: Quaternion, delta: Quaternion,
-                 eps_axis: float = EPS_AXIS) -> Quaternion:
+def differential(F: AnalyticFunction, x: Quaternion, delta: Quaternion) -> Quaternion:
     """Apply the differential of F at x to delta. Linear in delta.
 
-    On the real axis (r <= eps_axis) both coefficient factors collapse to
-    f'(xi0) and the result is the ordinary f'(x)*delta.
+    On the real axis (x1 == x2 == x3 == 0) both coefficient factors collapse
+    to f'(xi0) and the result is the ordinary f'(x)*delta. A non-finite
+    result raises OverflowError.
     """
-    return Quaternion(*_differential(F, x.w, x.x1, x.x2, x.x3,
-                                     delta.w, delta.x1, delta.x2, delta.x3, eps_axis))
+    d = _differential(F, x.w, x.x1, x.x2, x.x3, delta.w, delta.x1, delta.x2, delta.x3)
+    if not all(map(math.isfinite, d)):
+        raise OverflowError("differential out of range")
+    return Quaternion(*d)
 
 
 def _differential(F: AnalyticFunction, xw: float, x1: float, x2: float, x3: float,
-                  dw: float, d1: float, d2: float, d3: float,
-                  eps_axis: float) -> tuple[float, float, float, float]:
+                  dw: float, d1: float, d2: float, d3: float) -> tuple[float, float, float, float]:
     """differential() on bare components, returning (w, x1, x2, x3); the
-    staircase kernel calls it without building a Quaternion per step."""
-    r = math.sqrt(x1 * x1 + x2 * x2 + x3 * x3)
-    if r <= eps_axis:
+    staircase kernel calls it without building a Quaternion per step, and
+    checks finiteness on the sum instead of per term."""
+    r = math.hypot(x1, x2, x3)
+    if r == 0.0:
         d = F.deriv_complex(complex(xw, 0.0)).real
         return d * dw, d * d1, d * d2, d * d3
     z = complex(xw, r)
@@ -48,21 +50,16 @@ def _differential(F: AnalyticFunction, xw: float, x1: float, x2: float, x3: floa
             pv * u3 + q * (d3 - t * u3))
 
 
-def differential_reference(F: AnalyticFunction, x: Quaternion, delta: Quaternion,
-                           eps_axis: float = EPS_AXIS) -> Quaternion:
+def differential_reference(F: AnalyticFunction, x: Quaternion, delta: Quaternion) -> Quaternion:
     """Same operator assembled from the public slice primitives.
 
     Slower than differential(); kept as an independent cross-check of the
     flattened arithmetic above.
     """
-    r = x.imag_norm()
-    if r <= eps_axis:
-        fp = eval_derivative(F, x, eps_axis)
-        return fp * delta
-    split = decompose_delta(x, delta, eps_axis)
-    fp = eval_derivative(F, x, eps_axis)
-    q = perp_quotient(F, x, eps_axis)
-    return fp * split.parallel + q * split.perp
+    if x.imag_norm() == 0.0:
+        return eval_derivative(F, x) * delta
+    split = decompose_delta(x, delta)
+    return eval_derivative(F, x) * split.parallel + perp_quotient(F, x) * split.perp
 
 
 def conjugate_quotient(F: AnalyticFunction, x: Quaternion) -> Quaternion:

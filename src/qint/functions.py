@@ -149,17 +149,20 @@ def _ln1m_deriv(z: complex) -> complex:
     return -1.0 / w
 
 
-def _reciprocal_eval(z: complex) -> complex:
-    if z == 1.0:
+def _reciprocal_over(w: complex) -> complex:
+    # w is 1 - z or its square; a square can underflow to 0 off the pole
+    if w == 0:
         raise DomainError("1/(1 - x) has a pole at x = 1")
-    return 1.0 / (1.0 - z)
+    return 1.0 / w
+
+
+def _reciprocal_eval(z: complex) -> complex:
+    return _reciprocal_over(1.0 - z)
 
 
 def _reciprocal_deriv(z: complex) -> complex:
-    if z == 1.0:
-        raise DomainError("1/(1 - x) has a pole at x = 1")
     w = 1.0 - z
-    return 1.0 / (w * w)
+    return _reciprocal_over(w * w)
 
 
 def _neg_sin(z: complex) -> complex:

@@ -17,7 +17,7 @@ from .errors import (DegenerateSliceError, DomainError, MissingReferenceError,
 from .functions import AnalyticFunction, NamedFunction
 from .paths import Path
 from .quaternion import Quaternion
-from .slices import EPS_AXIS, eval_function
+from .slices import UnitImaginary, eval_function
 
 # Errors at or below this are treated as exact (pure rounding noise), both for
 # the "exact" verdict and for excluding points from log-log order fits.
@@ -44,11 +44,11 @@ class IntegrationReport:
     rows: list[tuple[int, Quaternion, float | None]] = field(default_factory=list)
     est_order: float | None = None
 
-    def is_exact(self, floor: float = EXACT_FLOOR) -> bool:
+    def is_exact(self) -> bool:
         """True when every measured error is at or below rounding noise."""
         if self.reference is None or not self.rows:
             return False
-        return all(err is not None and err <= floor for _, _, err in self.rows)
+        return all(err is not None and err <= EXACT_FLOOR for _, _, err in self.rows)
 
 
 def _fold(carry: list[tuple[float, float]],
@@ -56,14 +56,26 @@ def _fold(carry: list[tuple[float, float]],
     """Fold one chunk of terms, a column of floats per component, into carry,
     a (total, remainder) pair per component. math.fsum (Shewchuk's correctly
     rounded summation) adds each column to both, so folding chunk after chunk
-    matches one fsum over all terms to about 2**-106 relative."""
+    matches one fsum over all terms to about 2**-106 relative. A non-finite
+    term or total raises OverflowError."""
     new = []
     for (hi, lo), col in zip(carry, columns):
         xs = [hi, lo, *col]
-        total = math.fsum(xs)
+        try:
+            total = math.fsum(xs)
+        except (ValueError, OverflowError) as e:  # inf - inf, or past the largest double
+            raise OverflowError(f"sum out of range ({e})") from e
+        if not math.isfinite(total):
+            raise OverflowError("sum out of range")
         xs.append(-total)
         new.append((total, math.fsum(xs)))
     return new
+
+
+def _first_non_finite(columns: Iterable[Iterable[float]], default: int) -> int:
+    """Index of the first row of the columns with a non-finite entry, else default."""
+    return next((i for i, row in enumerate(zip(*columns))
+                 if not all(map(math.isfinite, row))), default)
 
 
 def _qsum(terms: Iterable[Quaternion]) -> Quaternion:
@@ -101,19 +113,18 @@ def _single_report(steps: int, value: Quaternion, ref: Quaternion | None) -> Int
                              rows=[(steps, value, err)])
 
 
-def _check_axis_eval(F: AnalyticFunction, x: Quaternion, s: float, eps_axis: float) -> None:
-    """Raise at a real-axis evaluation point of a non-entire F."""
-    if x.imag_norm() <= eps_axis and not F.is_entire:
+def _check_axis(x1: float, x2: float, x3: float, s: float) -> None:
+    """Raise at a real-axis evaluation point; for non-entire F only."""
+    if not (x1 or x2 or x3):
         raise DegenerateSliceError(
-            "evaluation point on the real axis for a non-entire function",
-            s_param=s)
+            "evaluation point on the real axis for a non-entire function", s_param=s)
 
 
-def _staircase(F: AnalyticFunction, path: Path, steps: int, rule: str,
-               eps_axis: float) -> Quaternion:
+def _staircase(F: AnalyticFunction, path: Path, steps: int, rule: str) -> Quaternion:
     """Sum of differential(F, x_eval, x_n - x_{n-1}) over n = 1..steps on bare
     floats: the float operations of differential() in the same order, so the
-    same value bit for bit, with no Quaternion built per step."""
+    same value bit for bit, with no Quaternion built per step. A failure,
+    including a non-finite term, names the s of its evaluation point."""
     coords = path.coords
     check_axis = not F.is_entire
     midpoint = rule == "midpoint"
@@ -127,18 +138,20 @@ def _staircase(F: AnalyticFunction, path: Path, steps: int, rule: str,
             for n in range(first, min(first + _SUM_CHUNK, steps + 1)):
                 w, a1, a2, a3 = coords(n * inv)
                 xw, x1, x2, x3 = coords((n - lag) * inv) if midpoint else (pw, p1, p2, p3)
-                if check_axis and math.sqrt(x1 * x1 + x2 * x2 + x3 * x3) <= eps_axis:
-                    raise DegenerateSliceError(
-                        "evaluation point on the real axis for a non-entire function",
-                        s_param=(n - lag) * inv)
+                if check_axis:
+                    _check_axis(x1, x2, x3, (n - lag) * inv)
                 tw, t1, t2, t3 = _differential(F, xw, x1, x2, x3, w - pw, a1 - p1, a2 - p2,
-                                               a3 - p3, eps_axis)
+                                               a3 - p3)
                 cw.append(tw)
                 c1.append(t1)
                 c2.append(t2)
                 c3.append(t3)
                 pw, p1, p2, p3 = w, a1, a2, a3
-            carry = _fold(carry, columns)
+            try:
+                carry = _fold(carry, columns)
+            except OverflowError:
+                n = first + _first_non_finite(columns, n - first)
+                raise
     except OverflowError as e:
         raise DomainError(f"overflow ({e})", s_param=(n - lag) * inv) from e
     except DomainError as e:
@@ -148,8 +161,8 @@ def _staircase(F: AnalyticFunction, path: Path, steps: int, rule: str,
     return Quaternion(*(hi for hi, _ in carry))
 
 
-def integrate(F: AnalyticFunction, path: Path, steps: int, rule: str = "left",
-              eps_axis: float = EPS_AXIS) -> IntegrationReport:
+def integrate(F: AnalyticFunction, path: Path, steps: int,
+              rule: str = "left") -> IntegrationReport:
     """Sum differential(F, x_eval, x_n - x_{n-1}) over a uniform subdivision.
 
     rule='left' evaluates at the segment start (first-order accurate);
@@ -163,12 +176,11 @@ def integrate(F: AnalyticFunction, path: Path, steps: int, rule: str = "left",
         raise ValueError("steps must be >= 1")
     if rule not in ("left", "midpoint"):
         raise ValueError(f"unknown rule {rule!r}; expected 'left' or 'midpoint'")
-    value = _staircase(F, path, steps, rule, eps_axis)
+    value = _staircase(F, path, steps, rule)
     return _single_report(steps, value, _try_reference(F, path))
 
 
-def integrate_slice_quadrature(F: AnalyticFunction, path: Path, steps: int,
-                               eps_axis: float = EPS_AXIS) -> IntegrationReport:
+def integrate_slice_quadrature(F: AnalyticFunction, path: Path, steps: int) -> IntegrationReport:
     """Trapezoid rule on dF(x(s))/ds with central finite differences.
 
     Completely independent of the differential operator: it only ever calls
@@ -178,11 +190,13 @@ def integrate_slice_quadrature(F: AnalyticFunction, path: Path, steps: int,
         raise ValueError("steps must be >= 1")
     n = steps
     h = 1.0 / n
+    check_axis = not F.is_entire
     g = []
     for k in range(n + 1):
         x = path.point(k * h)
-        _check_axis_eval(F, x, k * h, eps_axis)
-        g.append(eval_function(F, x, eps_axis))
+        if check_axis:
+            _check_axis(x.x1, x.x2, x.x3, k * h)
+        g.append(eval_function(F, x))
     if n == 1:
         value = g[1] - g[0]
     else:
@@ -195,7 +209,7 @@ def integrate_slice_quadrature(F: AnalyticFunction, path: Path, steps: int,
 
 
 def convergence_study(F: AnalyticFunction, path: Path, n_list: list[int],
-                      rule: str = "left", eps_axis: float = EPS_AXIS) -> IntegrationReport:
+                      rule: str = "left") -> IntegrationReport:
     """Run integrate at each N and fit the error order on a log-log scale.
 
     est_order is the negated least-squares slope of log(err) against log(N),
@@ -209,7 +223,7 @@ def convergence_study(F: AnalyticFunction, path: Path, n_list: list[int],
     ref = endpoint_reference(F, path)  # raises MissingReference if unavailable
     rows: list[tuple[int, Quaternion, float | None]] = []
     for n in n_list:
-        r = integrate(F, path, n, rule=rule, eps_axis=eps_axis)
+        r = integrate(F, path, n, rule=rule)
         rows.append((n, r.value, (r.value - ref).norm()))
     pts = [(math.log(n), math.log(err)) for n, _, err in rows if err > EXACT_FLOOR]
     est = None
@@ -221,8 +235,8 @@ def convergence_study(F: AnalyticFunction, path: Path, n_list: list[int],
                              abs_error=last[2], rows=rows, est_order=est)
 
 
-def integrate_with_branch_tracking(F: AnalyticFunction, path: Path, steps: int,
-                                   eps_axis: float = EPS_AXIS) -> IntegrationReport:
+def integrate_with_branch_tracking(F: AnalyticFunction, path: Path,
+                                   steps: int) -> IntegrationReport:
     """Staircase integral of ln along a path confined to one slice plane.
 
     Works in the fixed slice coordinates z(s) = xi0(s) + i*y(s), where y is
@@ -243,18 +257,16 @@ def integrate_with_branch_tracking(F: AnalyticFunction, path: Path, steps: int,
     u = (0.0, 0.0, 0.0)  # kept on a path along the real axis, where y = 0
     for k in range(n + 1):  # the first off-axis point fixes the slice
         _, x1, x2, x3 = coords(k * h)
-        r = math.sqrt(x1 * x1 + x2 * x2 + x3 * x3)
-        if r > eps_axis:
-            u = (x1 / r, x2 / r, x3 / r)
+        if x1 or x2 or x3:
+            unit = UnitImaginary(Quaternion(0.0, x1, x2, x3)).value
+            u = (unit.x1, unit.x2, unit.x3)
             break
 
     def slice_z(k: int) -> complex:
         w, x1, x2, x3 = coords(k * h)
         y = x1 * u[0] + x2 * u[1] + x3 * u[2]
-        rej = math.sqrt((x1 - y * u[0]) ** 2 + (x2 - y * u[1]) ** 2
-                        + (x3 - y * u[2]) ** 2)
-        norm = math.sqrt(w * w + x1 * x1 + x2 * x2 + x3 * x3)
-        if rej > SLICE_REJECTION_TOL * max(1.0, norm):
+        rej = math.hypot(x1 - y * u[0], x2 - y * u[1], x3 - y * u[2])
+        if rej > SLICE_REJECTION_TOL * max(1.0, math.hypot(w, x1, x2, x3)):
             raise SliceEscapeError(
                 f"point leaves the slice plane (off-plane magnitude {rej:.3e})",
                 s_param=k * h)
@@ -264,26 +276,36 @@ def integrate_with_branch_tracking(F: AnalyticFunction, path: Path, steps: int,
                               s_param=k * h)
         return z
 
-    z_first = z_prev = slice_z(0)
-    phase = total_phase = cmath.phase(z_first)
-    carry = [(0.0, 0.0)] * 2  # the real and imaginary parts of the sum
-    for first in range(1, n + 1, _SUM_CHUNK):
-        terms = []
-        for k in range(first, min(first + _SUM_CHUNK, n + 1)):
-            z = slice_z(k)
-            step = math.remainder(cmath.phase(z) - total_phase, math.tau)
-            if abs(step) > 0.5 * math.pi + UNWRAP_SLACK:
-                raise StepTooCoarseError(
-                    f"phase jump {abs(step):.3f} rad exceeds pi/2; increase steps",
-                    s_param=k * h)
-            total_phase += step
-            terms.append((z - z_prev) / z_prev)
-            z_prev = z
-        carry = _fold(carry, ([t.real for t in terms], [t.imag for t in terms]))
+    k = 0
+    try:
+        z_first = z_prev = slice_z(0)
+        phase = total_phase = cmath.phase(z_first)
+        log_first = math.log(abs(z_first))
+        carry = [(0.0, 0.0)] * 2  # the real and imaginary parts of the sum
+        for first in range(1, n + 1, _SUM_CHUNK):
+            terms = []
+            for k in range(first, min(first + _SUM_CHUNK, n + 1)):
+                z = slice_z(k)
+                step = math.remainder(cmath.phase(z) - total_phase, math.tau)
+                if abs(step) > 0.5 * math.pi + UNWRAP_SLACK:
+                    raise StepTooCoarseError(
+                        f"phase jump {abs(step):.3f} rad exceeds pi/2; increase steps",
+                        s_param=k * h)
+                total_phase += step
+                terms.append((z - z_prev) / z_prev)
+                z_prev = z
+            columns = ([t.real for t in terms], [t.imag for t in terms])
+            try:
+                carry = _fold(carry, columns)
+            except OverflowError:  # name the left end of the first non-finite term
+                k = first + _first_non_finite(columns, k - first) - 1
+                raise
+        log_last = math.log(abs(z_prev))
+    except OverflowError as e:
+        raise DomainError(f"overflow ({e})", s_param=k * h) from e
 
     def to_quaternion(re: float, im: float) -> Quaternion:
         return Quaternion(re, im * u[0], im * u[1], im * u[2])
 
     return _single_report(n, to_quaternion(carry[0][0], carry[1][0]),
-                          to_quaternion(math.log(abs(z_prev)) - math.log(abs(z_first)),
-                                        total_phase - phase))
+                          to_quaternion(log_last - log_first, total_phase - phase))

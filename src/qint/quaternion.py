@@ -79,18 +79,13 @@ class Quaternion:
 
     def imag_norm(self) -> float:
         """Length of the imaginary part, r = sqrt(x1^2 + x2^2 + x3^2)."""
-        return math.sqrt(self.x1 * self.x1 + self.x2 * self.x2 + self.x3 * self.x3)
+        return math.hypot(self.x1, self.x2, self.x3)
 
     def inverse(self) -> "Quaternion":
         n2 = self.norm_sq()
         if n2 == 0.0:
             raise ZeroDivisorError("cannot invert the zero quaternion")
         return Quaternion(self.w / n2, -self.x1 / n2, -self.x2 / n2, -self.x3 / n2)
-
-    def approx_eq(self, other: "Quaternion", tol: float = 1e-10) -> bool:
-        """Mixed absolute/relative comparison: |a - b| <= max(tol, tol * max(|a|, |b|))."""
-        bound = max(tol, tol * max(self.norm(), other.norm()))
-        return (self - other).norm() <= bound
 
     def to_list(self) -> list[float]:
         return [self.w, self.x1, self.x2, self.x3]

@@ -1,8 +1,15 @@
 """Slice geometry: each non-real quaternion x lives in a commutative plane
 spanned by 1 and a unit imaginary u. Function evaluation, derivatives, and
 increment splitting all happen in that plane.
+
+x is on the real axis exactly when x1 == x2 == x3 == 0. Every other x, however
+close to the axis, has r = hypot(x1, x2, x3) > 0 and u = (x1, x2, x3) / r.
+Where F is analytic the slice quantities tend to their real-axis values as
+r -> 0, so a threshold would buy nothing; next to a branch cut it would jump
+across the cut.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -10,9 +17,6 @@ from typing import Callable
 from .errors import DegenerateSliceError
 from .functions import AnalyticFunction
 from .quaternion import Quaternion
-
-# Imaginary radius at or below this counts as "on the real axis".
-EPS_AXIS = 1e-12
 
 
 @dataclass(frozen=True, slots=True)
@@ -29,10 +33,14 @@ class UnitImaginary:
         v = self.value
         if v.w != 0.0:
             raise ValueError("unit imaginary must have zero scalar part")
-        n = math.sqrt(v.x1 * v.x1 + v.x2 * v.x2 + v.x3 * v.x3)
-        if n <= EPS_AXIS:
-            raise DegenerateSliceError("cannot normalize a (near-)zero vector part")
-        object.__setattr__(self, "value", Quaternion(0.0, v.x1 / n, v.x2 / n, v.x3 / n))
+        x1, x2, x3 = v.x1, v.x2, v.x3
+        n = math.hypot(x1, x2, x3)
+        if n == 0.0:
+            raise DegenerateSliceError("cannot normalize a zero vector part")
+        if n == math.inf:  # the length overflows; halving is exact and keeps the direction
+            x1, x2, x3 = 0.5 * x1, 0.5 * x2, 0.5 * x3
+            n = math.hypot(x1, x2, x3)
+        object.__setattr__(self, "value", Quaternion(0.0, x1 / n, x2 / n, x3 / n))
 
     @property
     def x1(self) -> float:
@@ -72,18 +80,18 @@ class DeltaSplit:
     perp: Quaternion
 
 
-def slice_point(x: Quaternion, eps_axis: float = EPS_AXIS) -> SlicePoint:
+def slice_point(x: Quaternion) -> SlicePoint:
     """Decompose x into (xi0, r, u). Real x has no slice direction."""
     r = x.imag_norm()
-    if r <= eps_axis:
+    if r == 0.0:
         raise DegenerateSliceError(f"point {x.to_list()} is on the real axis; u is undefined")
     return SlicePoint(x.w, r, UnitImaginary(Quaternion(0.0, x.x1, x.x2, x.x3)))
 
 
-def decompose_delta(x: Quaternion, delta: Quaternion, eps_axis: float = EPS_AXIS) -> DeltaSplit:
+def decompose_delta(x: Quaternion, delta: Quaternion) -> DeltaSplit:
     """Split delta relative to x's slice: parallel = (delta - u*delta*u)/2,
     perp = (delta + u*delta*u)/2."""
-    sp = slice_point(x, eps_axis)
+    sp = slice_point(x)
     u = sp.u
     # dot of vector parts picks out the in-slice imaginary coefficient
     t = delta.x1 * u.x1 + delta.x2 * u.x2 + delta.x3 * u.x3
@@ -92,60 +100,39 @@ def decompose_delta(x: Quaternion, delta: Quaternion, eps_axis: float = EPS_AXIS
 
 
 def _lift(f: Callable[[complex], complex], x: Quaternion) -> Quaternion:
-    """f(xi0 + i*r) = a + i*b mapped to a + b*u, u = (x - xi0)/r. Only r == 0
-    snaps to the real a; hypot and u_i = x_i/r keep the lift continuous near
-    the axis and finite at subnormal r."""
+    """f(xi0 + i*r) = a + i*b mapped to a + b*u, u = (x - xi0)/r; a real x
+    maps to the real a. A non-finite f value raises OverflowError."""
     r = math.hypot(x.x1, x.x2, x.x3)
     fz = f(complex(x.w, r))
+    if not cmath.isfinite(fz):
+        raise OverflowError("function value out of range")
     if r == 0.0:
         return Quaternion(fz.real, 0.0, 0.0, 0.0)
     b = fz.imag
     return Quaternion(fz.real, b * (x.x1 / r), b * (x.x2 / r), b * (x.x3 / r))
 
 
-def eval_function(F: AnalyticFunction, x: Quaternion, eps_axis: float = EPS_AXIS) -> Quaternion:
+def eval_function(F: AnalyticFunction, x: Quaternion) -> Quaternion:
     """F(x) through the slice: f(xi0 + i*r) = a + i*b maps to a + b*u.
 
     At real x this is just the real function value. Conjugating x conjugates
     the result exactly, because a and b are shared and only u flips.
-    eps_axis is unused and kept for call compatibility (see _lift).
     """
     return _lift(F.eval_complex, x)
 
 
-def eval_derivative(F: AnalyticFunction, x: Quaternion, eps_axis: float = EPS_AXIS) -> Quaternion:
+def eval_derivative(F: AnalyticFunction, x: Quaternion) -> Quaternion:
     """F'(x) through the slice, same mapping as eval_function."""
     return _lift(F.deriv_complex, x)
 
 
-def perp_quotient(F: AnalyticFunction, x: Quaternion, eps_axis: float = EPS_AXIS) -> float:
+def perp_quotient(F: AnalyticFunction, x: Quaternion) -> float:
     """The real scalar [F(x) - F(conj x)] * (x - conj x)^-1 = b/r.
 
     On the real axis the quotient degenerates to the ordinary derivative
     f'(xi0), which is the r -> 0 limit of b/r.
     """
     r = x.imag_norm()
-    if r <= eps_axis:
+    if r == 0.0:
         return F.deriv_complex(complex(x.w, 0.0)).real
     return F.eval_complex(complex(x.w, r)).imag / r
-
-
-@dataclass(frozen=True, slots=True)
-class SliceForm:
-    """Local representation F(x) = A + B*x with real A, B."""
-
-    A: float
-    B: float
-
-
-def slice_form(F: AnalyticFunction, x: Quaternion, eps_axis: float = EPS_AXIS) -> SliceForm:
-    """Solve a + b*u = A + B*(xi0 + r*u) for real A, B.
-
-    B = b/r is only determined off the real axis.
-    """
-    r = x.imag_norm()
-    if r <= eps_axis:
-        raise DegenerateSliceError("A + B*x is not unique at real x (any B works)")
-    fz = F.eval_complex(complex(x.w, r))
-    B = fz.imag / r
-    return SliceForm(fz.real - B * x.w, B)

@@ -211,13 +211,13 @@ def _random_delta(rng: random.Random, span: float = 1.0) -> Quaternion:
                       rng.uniform(-span, span), rng.uniform(-span, span))
 
 
-def check_exact_identities(tol: Tolerances, seed: int = RNG_SEED) -> CheckReport:
+def check_exact_identities(tol: Tolerances) -> CheckReport:
     """Machine-precision identities: the symmetric-product form of the
     monomial differential, the Leibniz rule on polynomial products, the
     commutation split of increments, and the scalar form of the conjugate
     quotient. Sampling spans are kept moderate so rounding stays well under
     the bound."""
-    rng = random.Random(seed)
+    rng = random.Random(RNG_SEED)
     worst = {"sym_product": 0.0, "leibniz": 0.0, "delta_split": 0.0,
              "conjugate_quotient": 0.0}
 
@@ -264,7 +264,7 @@ def check_exact_identities(tol: Tolerances, seed: int = RNG_SEED) -> CheckReport
     return CheckReport(
         check="exact_identities", passed=all(r <= tol.algebraic for r in residuals),
         residuals=residuals, tolerance=tol.algebraic,
-        config={"families": list(worst), "seed": seed,
+        config={"families": list(worst), "seed": RNG_SEED,
                 "samples": {"sym_product": 100, "leibniz": 20, "delta_split": 100,
                             "conjugate_quotient": 50}})
 

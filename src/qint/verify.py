@@ -115,8 +115,7 @@ def _decaying(errors: list[float], slack: float, floor: float) -> bool:
 
 
 def verify_ftc_forward(F: AnalyticFunction, path: Path, n_list: list[int],
-                       tol: Tolerances | None = None, rule: str = "left",
-                       label: str = "ftc_forward") -> CheckReport:
+                       tol: Tolerances | None = None, rule: str = "left") -> CheckReport:
     """Staircase value converges to F(end) - F(start): errors decay with N
     and the finest one is small relative to the endpoint difference."""
     tol = tol or Tolerances()
@@ -126,16 +125,16 @@ def verify_ftc_forward(F: AnalyticFunction, path: Path, n_list: list[int],
     passed = (_decaying(errors, tol.decay_slack, tol.exact_floor)
               and errors[-1] <= tol.ftc_final * scale)
     return CheckReport(
-        check=label, passed=passed, residuals=errors, tolerance=tol.ftc_final * scale,
+        check="ftc_forward", passed=passed, residuals=errors, tolerance=tol.ftc_final * scale,
         config={"path": path.to_json(), "function": F.to_json(), "steps": list(n_list),
                 "rule": rule, "est_order": study.est_order,
                 "reference": study.reference.to_list()})
 
 
 def inverse_ftc_residual(F: AnalyticFunction, x: Quaternion, delta: Quaternion,
-                         steps: int, base: Quaternion = DEFAULT_BASE) -> float:
+                         steps: int) -> float:
     """|[G(x+delta) - G(x)] - differential(F, x, delta)| for the indefinite
-    staircase integral G(y) from a fixed base point.
+    staircase integral G(y) from the fixed base point DEFAULT_BASE.
 
     G(x+delta) extends G(x)'s path by two legs, the parallel increment first
     and then the perpendicular one. The base leg is computed once and shared
@@ -144,10 +143,10 @@ def inverse_ftc_residual(F: AnalyticFunction, x: Quaternion, delta: Quaternion,
     split = decompose_delta(x, delta)
     x_mid = x + split.parallel
     x_end = x + delta
-    if (base - x).norm() == 0.0:
+    if (DEFAULT_BASE - x).norm() == 0.0:
         g_x = Quaternion(0.0, 0.0, 0.0, 0.0)
     else:
-        g_x = integrate(F, Line(base, x), steps).value
+        g_x = integrate(F, Line(DEFAULT_BASE, x), steps).value
     leg_par = integrate(F, Line(x, x_mid), steps).value
     leg_perp = integrate(F, Line(x_mid, x_end), steps).value
     g_x_delta = g_x + leg_par + leg_perp
@@ -155,17 +154,15 @@ def inverse_ftc_residual(F: AnalyticFunction, x: Quaternion, delta: Quaternion,
 
 
 def verify_ftc_inverse(F: AnalyticFunction, x: Quaternion, delta: Quaternion,
-                       steps: int, tol: Tolerances | None = None,
-                       base: Quaternion = DEFAULT_BASE,
-                       label: str = "ftc_inverse") -> CheckReport:
+                       steps: int, tol: Tolerances | None = None) -> CheckReport:
     """Differencing the staircase integral recovers the differential."""
     tol = tol or Tolerances()
-    res = inverse_ftc_residual(F, x, delta, steps, base=base)
+    res = inverse_ftc_residual(F, x, delta, steps)
     return CheckReport(
-        check=label, passed=res <= tol.inverse_ftc, residuals=[res],
+        check="ftc_inverse", passed=res <= tol.inverse_ftc, residuals=[res],
         tolerance=tol.inverse_ftc,
         config={"function": F.to_json(), "x": x.to_list(), "delta": delta.to_list(),
-                "steps": steps, "base": base.to_list()})
+                "steps": steps, "base": DEFAULT_BASE.to_list()})
 
 
 def by_parts_residual(F: AnalyticFunction, G: AnalyticFunction, path: Path,
@@ -188,20 +185,18 @@ def by_parts_residual(F: AnalyticFunction, G: AnalyticFunction, path: Path,
 
 
 def verify_integration_by_parts(F: AnalyticFunction, G: AnalyticFunction, path: Path,
-                                steps: int, tol: Tolerances | None = None,
-                                label: str = "integration_by_parts") -> CheckReport:
+                                steps: int, tol: Tolerances | None = None) -> CheckReport:
     tol = tol or Tolerances()
     res, boundary = by_parts_residual(F, G, path, steps)
     return CheckReport(
-        check=label, passed=res <= tol.by_parts, residuals=[res],
+        check="integration_by_parts", passed=res <= tol.by_parts, residuals=[res],
         tolerance=tol.by_parts,
         config={"F": F.to_json(), "G": G.to_json(), "path": path.to_json(),
                 "steps": steps, "boundary": boundary.to_list()})
 
 
 def verify_antiderivative_map(f: AnalyticFunction, path: Path, steps: int,
-                              tol: Tolerances | None = None,
-                              label: str = "antiderivative_map") -> CheckReport:
+                              tol: Tolerances | None = None) -> CheckReport:
     """The real-axis rule "integrate f, get h" lifts to the staircase:
     the integral of h's differential converges to h(end) - h(start)."""
     tol = tol or Tolerances()
@@ -210,7 +205,7 @@ def verify_antiderivative_map(f: AnalyticFunction, path: Path, steps: int,
     rep = integrate(h, path, steps)
     res = (rep.value - ref).norm()
     return CheckReport(
-        check=label, passed=res <= tol.antiderivative, residuals=[res],
+        check="antiderivative_map", passed=res <= tol.antiderivative, residuals=[res],
         tolerance=tol.antiderivative,
         config={"integrand": f.to_json(), "antiderivative": h.to_json(),
                 "path": path.to_json(), "steps": steps, "reference": ref.to_list()})

@@ -64,6 +64,15 @@ def test_zero_turn_loop_is_zero():
     assert rep.reference == Quaternion(0, 0, 0, 0)
 
 
+def test_huge_circle_winds_like_the_unit_circle():
+    # the terms (z_k - z_{k-1}) / z_{k-1} do not depend on the radius; at
+    # radius 1e200 the squared imaginary radius overflows, which once made
+    # u the zero vector
+    unit = integrate_with_branch_tracking(LN, SliceCircle(0.0, 1.0, U_JK, 1.0), 64)
+    huge = integrate_with_branch_tracking(LN, SliceCircle(0.0, 1e200, U_JK, 1.0), 64)
+    assert_close(huge.value, unit.value, 1e-13)
+
+
 def test_path_through_zero_raises():
     path = Line(Quaternion(0, -1, 0, 0), Quaternion(0, 1, 0, 0))
     with pytest.raises(DomainError) as exc:

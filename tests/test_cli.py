@@ -1,8 +1,12 @@
 import csv
+import io
 import json
 import math
+from contextlib import redirect_stderr, redirect_stdout
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 import qint.cli as cli
 from qint import CheckReport, Quaternion
@@ -82,11 +86,34 @@ def test_non_finite_json_numbers_exit_1(argv, capsys):
     ["integrate", "--fn", "exp", "--steps", "10", "--path",
      '{"kind": "line", "a": [700, 1, 0, 0], "b": [720, 1, 0, 0]}'],
     ["eval", "--fn", '{"kind": "series", "coeffs": [0, 1e308, 1e308]}', "--at", "[3, 1, 0, 0]"],
+    # finite inputs whose results are not: inf or nan must never print
+    ["diff", "--fn", "exp", "--at", "[709, 1, 0, 0]", "--delta", "[1e10, 0, 0, 0]"],
+    ["integrate", "--fn", "exp", "--steps", "4", "--path",
+     '{"kind": "line", "a": [709, 1, 0, 0], "b": [709, 1, 1e10, 0]}'],
+    ["eval", "--fn", "reciprocal", "--at", "[1, 5e-324, 0, 0]"],
+    ["diff", "--fn", "sin", "--at", "[0, 700, 0, 0]", "--delta", "[1e300, 0, 0, 0]"],
+    ["diff", "--fn", "ln1m", "--at", "[1, 5e-324, 0, 0]", "--delta", "[0, 1, 0, 0]"],
+    ["integrate", "--fn", "ln", "--steps", "1", "--branch-track", "--path",
+     '{"kind": "line", "a": [5e-324, 0, 0, 0], "b": [1, 0, 0, 0]}'],
 ])
 def test_overflow_is_a_domain_error(argv, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and "domain error" in err[0] and "overflow" in err[0]
+    if argv[0] == "integrate":
+        assert "(at s=" in err[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["diff", "--fn", "reciprocal", "--at", "[1, 1e-300, 0, 0]", "--delta", "[1, 0, 0, 0]"],
+    ["integrate", "--fn", "reciprocal", "--steps", "2", "--path",
+     '{"kind": "line", "a": [1, 1e-300, -1, 0], "b": [1, 1e-300, 1, 0]}'],
+])
+def test_reciprocal_pole_within_underflow_exits_2(argv, capsys):
+    # (1 - x)^2 underflows to 0 at x = 1 + 1e-300 i: a pole, not a ZeroDivisionError
+    assert main(argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "pole" in err[0]
 
 
 def test_overflow_in_the_staircase_names_s(capsys):
@@ -97,13 +124,20 @@ def test_overflow_in_the_staircase_names_s(capsys):
     assert "(at s=0.5)" in err and "overflow" in err
 
 
-@pytest.mark.parametrize("x1", ["2e-12", "1e-13", "5e-324"])
-def test_eval_off_the_cut_lifts_along_the_true_direction(x1, capsys):
-    # ln(-1 + r*i) = ~0 + (pi - r)*i for every r > 0, with no jump at EPS_AXIS
-    assert main(["eval", "--fn", "ln", "--at", f"[-1, {x1}, 0, 0]"]) == 0
+@pytest.mark.parametrize("argv, expected", [
+    pytest.param(["eval", "--at", "[-1, 2e-12, 0, 0]"], [0.0, math.pi, 0.0, 0.0], id="2e-12"),
+    pytest.param(["eval", "--at", "[-1, 1e-13, 0, 0]"], [0.0, math.pi, 0.0, 0.0], id="1e-13"),
+    pytest.param(["eval", "--at", "[-1, 5e-324, 0, 0]"], [0.0, math.pi, 0.0, 0.0], id="5e-324"),
+    # the perpendicular quotient b/r = (pi - r)/r, not the branch cut
+    pytest.param(["diff", "--at", "[-1, 1e-13, 0, 0]", "--delta", "[0, 0, 1, 0]"],
+                 [0.0, 0.0, math.pi * 1e13, 0.0], id="diff-1e-13"),
+])
+def test_eval_off_the_cut_lifts_along_the_true_direction(argv, expected, capsys):
+    # ln(-1 + r*i) = ~0 + (pi - r)*i for every r > 0: no threshold snaps to the cut
+    assert main(argv[:1] + ["--fn", "ln"] + argv[1:]) == 0
     got = printed_quaternion(capsys)
     assert all(math.isfinite(c) for c in got)
-    assert got == pytest.approx([0.0, math.pi, 0.0, 0.0], abs=1e-11)
+    assert got == pytest.approx(expected, rel=1e-12, abs=1e-11)
 
 
 def test_missing_subcommand_exits_1(capsys):
@@ -237,3 +271,57 @@ def test_verify_invalid_tolerance_env_exits_1(monkeypatch, capsys):
     rc = main(["verify", "--suite", "default"])
     assert rc == 1
     assert "parse error" in capsys.readouterr().err
+
+
+# -- the CLI contract over generated specs --------------------------------------
+
+_COMPONENTS = (st.sampled_from([0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e300, -1e300])
+               | st.floats(-4.0, 4.0))
+_POINTS = st.lists(_COMPONENTS, min_size=4, max_size=4)
+_FUNCTIONS = st.recursive(
+    st.sampled_from(["exp", "sin", "cos", "ln", "ln1m", "reciprocal"])
+    .map(lambda name: {"kind": "named", "name": name})
+    | st.integers(0, 40).map(lambda n: {"kind": "named", "name": "monomial", "n": n})
+    | st.builds(lambda c, r: {"kind": "series", "coeffs": c, "radius": r},
+                st.lists(_COMPONENTS, min_size=1, max_size=6),
+                st.none() | _COMPONENTS.map(abs)),
+    lambda inner: st.builds(lambda c, f: {"kind": "scaled", "factor": c, "inner": f},
+                            _COMPONENTS, inner),
+    max_leaves=3)
+_PATHS = (st.builds(lambda a, b: {"kind": "line", "a": a, "b": b}, _POINTS, _POINTS)
+          | st.builds(lambda p: {"kind": "polyline", "points": p},
+                      st.lists(_POINTS, min_size=2, max_size=4))
+          | st.builds(lambda c, r, u, t: {"kind": "circle", "center": c, "radius": r,
+                                          "u": [0.0] + u, "turns": t},
+                      _COMPONENTS, _COMPONENTS.map(abs),
+                      st.lists(_COMPONENTS, min_size=3, max_size=3), _COMPONENTS))
+_ARGVS = (
+    st.builds(lambda f, x: ["eval", "--fn", json.dumps(f), "--at", json.dumps(x)],
+              _FUNCTIONS, _POINTS)
+    | st.builds(lambda f, x, d: ["diff", "--fn", json.dumps(f), "--at", json.dumps(x),
+                                 "--delta", json.dumps(d)], _FUNCTIONS, _POINTS, _POINTS)
+    | st.builds(lambda f, p, n, mode: ["integrate", "--fn", json.dumps(f), "--path",
+                                       json.dumps(p), "--steps", str(n), mode],
+                _FUNCTIONS, _PATHS, st.integers(1, 64),
+                st.sampled_from(["--rule=left", "--rule=midpoint"]))
+    | st.builds(lambda f, p, n: ["integrate", "--fn", json.dumps(f), "--path",
+                                 json.dumps(p), "--steps", str(n), "--branch-track"],
+                st.just({"kind": "named", "name": "ln"}) | _FUNCTIONS, _PATHS,
+                st.integers(1, 64)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ARGVS)
+def test_cli_contract_holds_for_generated_specs(argv):
+    # exit 0, 1 or 2; finite numbers on success; one stderr line on failure;
+    # no exception escapes main
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = main(argv)
+    assert rc in (0, 1, 2)
+    if rc == 0:
+        printed = out.getvalue().strip()
+        assert printed.startswith("[") and printed.endswith("]")
+        assert all(math.isfinite(float(c)) for c in printed[1:-1].split(","))
+    else:
+        assert len(err.getvalue().strip().splitlines()) == 1

@@ -68,6 +68,18 @@ def test_flattened_matches_reference_assembly(x, d):
         assert_close(differential(F, x, d), differential_reference(F, x, d), 1e-11)
 
 
+@pytest.mark.parametrize("r", [2e-12, 1e-13, 1e-300])
+def test_flattened_matches_reference_next_to_the_axis(r):
+    # off the axis means r > 0: both assemblies use the true u and b/r, even
+    # at -1 + r*i, a hair from the cut of ln
+    x = Quaternion(-1.0, r, 0.0, 0.0)
+    d = Quaternion(0.3, -0.7, 1.1, 0.4)
+    for F in (NamedFunction("ln"), NamedFunction("exp"), Monomial(3),
+              PowerSeries((1.0, 0.0, -2.0, 0.5))):
+        got, ref = differential(F, x, d), differential_reference(F, x, d)
+        assert (got - ref).norm() <= 1e-12 * ref.norm()
+
+
 def test_real_axis_reduces_to_ordinary_derivative():
     for xw, dw in ((0.75, 0.5), (-1.25, 2.0), (2.0, -0.125)):
         x = Quaternion(xw, 0, 0, 0)

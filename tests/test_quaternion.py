@@ -79,9 +79,3 @@ def test_list_round_trip():
 def test_from_list_rejects(bad):
     with pytest.raises(ValueError):
         Quaternion.from_list(bad)
-
-
-def test_approx_eq_mixes_absolute_and_relative():
-    assert Quaternion(1e3, 0, 0, 0).approx_eq(Quaternion(1e3 + 1e-8, 0, 0, 0))
-    assert Quaternion(1e-3, 0, 0, 0).approx_eq(Quaternion(1e-3 + 1e-11, 0, 0, 0))
-    assert not Quaternion(1, 0, 0, 0).approx_eq(Quaternion(1 + 1e-6, 0, 0, 0))

@@ -7,7 +7,7 @@ from conftest import assert_close, off_axis_quaternions, quaternions, unit_imagi
 from qint import (DegenerateSliceError, DomainError, Monomial, NamedFunction,
                   PowerSeries, Quaternion, UnitImaginary, antiderivative,
                   decompose_delta, eval_derivative, eval_function, perp_quotient,
-                  slice_form, slice_point)
+                  slice_point)
 
 
 def test_unit_imaginary_normalizes():
@@ -24,6 +24,15 @@ def test_unit_imaginary_rejects_scalar_part():
 def test_unit_imaginary_rejects_zero_vector():
     with pytest.raises(DegenerateSliceError):
         UnitImaginary(Quaternion(0, 0, 0, 0))
+
+
+@pytest.mark.parametrize("big", [1e300, 1.7e308])
+def test_unit_imaginary_normalizes_huge_components(big):
+    # the squared length overflows at 1e300 and the length itself at 1.7e308
+    u = UnitImaginary(Quaternion(0, big, big, 0)).value
+    assert_close(u, Quaternion(0, math.sqrt(0.5), math.sqrt(0.5), 0), 1e-15)
+    u = UnitImaginary(Quaternion(0, 5e-324, 0, 0)).value
+    assert u == Quaternion(0, 1, 0, 0)
 
 
 def test_slice_point_examples():
@@ -145,31 +154,6 @@ def test_perp_quotient_matches_conjugate_difference(x):
         full = conjugate_quotient(F, x)
         ref = Quaternion(scalar, 0, 0, 0)
         assert (full - ref).norm() <= 1e-9 * max(1.0, abs(scalar))
-
-
-def test_slice_form_examples():
-    x = Quaternion(0.7, 0.2, -0.5, 0.1)
-    sf = slice_form(Monomial(1), x)
-    assert sf.A == pytest.approx(0.0, abs=1e-12)
-    assert sf.B == pytest.approx(1.0, abs=1e-12)
-
-    sf = slice_form(Monomial(2), x)
-    r = x.imag_norm()
-    assert sf.A == pytest.approx(-(x.w ** 2 + r ** 2), rel=1e-12)
-    assert sf.B == pytest.approx(2 * x.w, rel=1e-12)
-
-    sf = slice_form(PowerSeries((4.25,)), x)
-    assert (sf.A, sf.B) == (4.25, 0.0)
-
-    with pytest.raises(DegenerateSliceError):
-        slice_form(Monomial(2), Quaternion(1, 0, 0, 0))
-
-
-@given(off_axis_quaternions(min_r=1e-3))
-def test_slice_form_reproduces_value(x):
-    for F in (NamedFunction("exp"), Monomial(3)):
-        sf = slice_form(F, x)
-        assert_close(Quaternion(sf.A, 0, 0, 0) + sf.B * x, eval_function(F, x), 1e-10)
 
 
 @given(off_axis_quaternions(span=0.8, min_r=1e-3))
