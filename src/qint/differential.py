@@ -10,7 +10,7 @@ import math
 
 from .functions import AnalyticFunction
 from .quaternion import ONE, ZERO, Quaternion
-from .slices import decompose_delta, eval_derivative, perp_quotient
+from .slices import decompose_delta, eval_derivative, eval_function, perp_quotient
 
 
 def differential(F: AnalyticFunction, x: Quaternion, delta: Quaternion) -> Quaternion:
@@ -30,11 +30,14 @@ def _differential(F: AnalyticFunction, xw: float, x1: float, x2: float, x3: floa
                   dw: float, d1: float, d2: float, d3: float) -> tuple[float, float, float, float]:
     """differential() on bare components, returning (w, x1, x2, x3); the
     staircase kernel calls it without building a Quaternion per step, and
-    checks finiteness on the sum instead of per term."""
+    checks finiteness on the sum instead of per term. An infinite r raises
+    OverflowError."""
     r = math.hypot(x1, x2, x3)
     if r == 0.0:
         d = F.deriv_complex(complex(xw, 0.0)).real
         return d * dw, d * d1, d * d2, d * d3
+    if r == math.inf:
+        raise OverflowError("imaginary part out of range")
     z = complex(xw, r)
     fp = F.deriv_complex(z)          # F'(x) = c + d*u in the slice
     q = F.eval_complex(z).imag / r   # perpendicular quotient b/r
@@ -67,8 +70,6 @@ def conjugate_quotient(F: AnalyticFunction, x: Quaternion) -> Quaternion:
 
     The scalar perp_quotient must match this; used to validate it.
     """
-    from .slices import eval_function
-
     xc = x.conj()
     return (eval_function(F, x) - eval_function(F, xc)) * (x - xc).inverse()
 

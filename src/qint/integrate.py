@@ -9,10 +9,10 @@ import statistics
 from dataclasses import dataclass, field
 from itertools import chain, islice
 from operator import attrgetter
-from typing import Iterable
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .differential import _differential
-from .errors import (DegenerateSliceError, DomainError, MissingReferenceError,
+from .errors import (DegenerateSliceError, DomainError, MissingReferenceError, QintError,
                      SliceEscapeError, StepTooCoarseError, UnsupportedFunctionError)
 from .functions import AnalyticFunction, NamedFunction
 from .paths import Path
@@ -29,7 +29,7 @@ SLICE_REJECTION_TOL = 1e-9
 # Unwrapping slack: per-step phase change may exceed pi/2 by rounding only.
 UNWRAP_SLACK = 1e-9
 
-# Terms per math.fsum call in _fold; bounds the memory of every sum.
+# Terms per math.fsum call in _sum; bounds the memory of every sum.
 _SUM_CHUNK = 1024
 
 
@@ -51,40 +51,48 @@ class IntegrationReport:
         return all(err is not None and err <= EXACT_FLOOR for _, _, err in self.rows)
 
 
-def _fold(carry: list[tuple[float, float]],
-          columns: Iterable[Iterable[float]]) -> list[tuple[float, float]]:
-    """Fold one chunk of terms, a column of floats per component, into carry,
-    a (total, remainder) pair per component. math.fsum (Shewchuk's correctly
-    rounded summation) adds each column to both, so folding chunk after chunk
-    matches one fsum over all terms to about 2**-106 relative. A non-finite
-    term or total raises OverflowError."""
-    new = []
-    for (hi, lo), col in zip(carry, columns):
-        xs = [hi, lo, *col]
-        try:
-            total = math.fsum(xs)
-        except (ValueError, OverflowError) as e:  # inf - inf, or past the largest double
-            raise OverflowError(f"sum out of range ({e})") from e
-        if not math.isfinite(total):
-            raise OverflowError("sum out of range")
-        xs.append(-total)
-        new.append((total, math.fsum(xs)))
-    return new
+def _sum(chunks: Iterable[Sequence[Sequence[float]]],
+         s_of: Callable[[int], float]) -> list[float]:
+    """Component-wise sum of chunks of terms, a column of floats per component:
+    math.fsum (Shewchuk's correctly rounded summation) adds each column to a
+    carried (total, remainder) pair, matching one fsum over all terms to about
+    2**-106 relative. A non-finite term or total raises DomainError at s_of(i),
+    i the running index of the first non-finite term (else the chunk's last)."""
+    carry, done = None, 0
+    for columns in chunks:
+        new = []
+        for (hi, lo), col in zip(carry or [(0.0, 0.0)] * len(columns), columns):
+            xs = [hi, lo, *col]
+            try:
+                total = math.fsum(xs)
+                if not math.isfinite(total):
+                    raise OverflowError("sum out of range")
+            except (ValueError, OverflowError) as e:  # inf - inf, or past the largest double
+                i = next((i for i, row in enumerate(zip(*columns))
+                          if not all(map(math.isfinite, row))), len(columns[0]) - 1)
+                raise DomainError(f"overflow ({e})", s_param=s_of(done + i)) from e
+            xs.append(-total)
+            new.append((total, math.fsum(xs)))
+        carry, done = new, done + len(columns[0])
+        del columns, col, xs  # hold one chunk at a time: free it before the next is built
+    return [hi for hi, _ in carry]
 
 
-def _first_non_finite(columns: Iterable[Iterable[float]], default: int) -> int:
-    """Index of the first row of the columns with a non-finite entry, else default."""
-    return next((i for i, row in enumerate(zip(*columns))
-                 if not all(map(math.isfinite, row))), default)
-
-
-def _qsum(terms: Iterable[Quaternion]) -> Quaternion:
-    """Component-wise compensated sum of a stream of quaternions."""
-    it = iter(terms)
-    carry = [(0.0, 0.0)] * 4
+def _columns(rows: Iterable[Quaternion]) -> Iterator[tuple[tuple[float, ...], ...]]:
+    """Regroup a stream of quaternions into _sum chunks of _SUM_CHUNK terms."""
+    it = iter(rows)
     while chunk := list(islice(it, _SUM_CHUNK)):
-        carry = _fold(carry, zip(*map(attrgetter("w", "x1", "x2", "x3"), chunk)))
-    return Quaternion(*(hi for hi, _ in carry))
+        yield tuple(zip(*map(attrgetter("w", "x1", "x2", "x3"), chunk)))
+
+
+def _located(e: OverflowError | QintError, s: float) -> QintError:
+    """A failure at path parameter s as an error that names s: an
+    OverflowError becomes a DomainError, a QintError without s gets s."""
+    if isinstance(e, OverflowError):
+        return DomainError(f"overflow ({e})", s_param=s)
+    if e.s_param is None:
+        e.s_param = s
+    return e
 
 
 def endpoint_reference(F: AnalyticFunction, path: Path) -> Quaternion:
@@ -113,33 +121,31 @@ def _single_report(steps: int, value: Quaternion, ref: Quaternion | None) -> Int
                              rows=[(steps, value, err)])
 
 
-def _check_axis(x1: float, x2: float, x3: float, s: float) -> None:
+def _check_axis(x1: float, x2: float, x3: float) -> None:
     """Raise at a real-axis evaluation point; for non-entire F only."""
     if not (x1 or x2 or x3):
-        raise DegenerateSliceError(
-            "evaluation point on the real axis for a non-entire function", s_param=s)
+        raise DegenerateSliceError("evaluation point on the real axis for a non-entire function")
 
 
-def _staircase(F: AnalyticFunction, path: Path, steps: int, rule: str) -> Quaternion:
-    """Sum of differential(F, x_eval, x_n - x_{n-1}) over n = 1..steps on bare
-    floats: the float operations of differential() in the same order, so the
-    same value bit for bit, with no Quaternion built per step. A failure,
-    including a non-finite term, names the s of its evaluation point."""
+def _staircase(F: AnalyticFunction, path: Path, steps: int,
+               lag: float) -> Iterator[tuple[list[float], ...]]:
+    """_sum chunks of differential(F, x_eval, x_n - x_{n-1}), n = 1..steps, with
+    x_eval at s = (n - lag) / steps, on bare floats: the float operations of
+    differential() in the same order, so the same terms bit for bit, with no
+    Quaternion built per step. A failure names the s of its evaluation point."""
     coords = path.coords
     check_axis = not F.is_entire
-    midpoint = rule == "midpoint"
-    lag = 0.5 if midpoint else 1.0  # step n evaluates at s = (n - lag) / steps
+    midpoint = lag != 1.0
     inv = 1.0 / steps
-    carry = [(0.0, 0.0)] * 4
     pw, p1, p2, p3 = coords(0.0)
-    try:
-        for first in range(1, steps + 1, _SUM_CHUNK):
-            cw, c1, c2, c3 = columns = ([], [], [], [])
+    for first in range(1, steps + 1, _SUM_CHUNK):
+        cw, c1, c2, c3 = columns = ([], [], [], [])
+        try:
             for n in range(first, min(first + _SUM_CHUNK, steps + 1)):
                 w, a1, a2, a3 = coords(n * inv)
                 xw, x1, x2, x3 = coords((n - lag) * inv) if midpoint else (pw, p1, p2, p3)
                 if check_axis:
-                    _check_axis(x1, x2, x3, (n - lag) * inv)
+                    _check_axis(x1, x2, x3)
                 tw, t1, t2, t3 = _differential(F, xw, x1, x2, x3, w - pw, a1 - p1, a2 - p2,
                                                a3 - p3)
                 cw.append(tw)
@@ -147,18 +153,9 @@ def _staircase(F: AnalyticFunction, path: Path, steps: int, rule: str) -> Quater
                 c2.append(t2)
                 c3.append(t3)
                 pw, p1, p2, p3 = w, a1, a2, a3
-            try:
-                carry = _fold(carry, columns)
-            except OverflowError:
-                n = first + _first_non_finite(columns, n - first)
-                raise
-    except OverflowError as e:
-        raise DomainError(f"overflow ({e})", s_param=(n - lag) * inv) from e
-    except DomainError as e:
-        if e.s_param is None:
-            e.s_param = (n - lag) * inv
-        raise
-    return Quaternion(*(hi for hi, _ in carry))
+        except (OverflowError, QintError) as e:
+            raise _located(e, (n - lag) * inv)
+        yield columns
 
 
 def integrate(F: AnalyticFunction, path: Path, steps: int,
@@ -176,8 +173,10 @@ def integrate(F: AnalyticFunction, path: Path, steps: int,
         raise ValueError("steps must be >= 1")
     if rule not in ("left", "midpoint"):
         raise ValueError(f"unknown rule {rule!r}; expected 'left' or 'midpoint'")
-    value = _staircase(F, path, steps, rule)
-    return _single_report(steps, value, _try_reference(F, path))
+    lag = 0.5 if rule == "midpoint" else 1.0
+    inv = 1.0 / steps
+    value = _sum(_staircase(F, path, steps, lag), lambda i: (i + 1 - lag) * inv)
+    return _single_report(steps, Quaternion(*value), _try_reference(F, path))
 
 
 def integrate_slice_quadrature(F: AnalyticFunction, path: Path, steps: int) -> IntegrationReport:
@@ -185,6 +184,7 @@ def integrate_slice_quadrature(F: AnalyticFunction, path: Path, steps: int) -> I
 
     Completely independent of the differential operator: it only ever calls
     eval_function along the path, so it cross-checks the staircase. Order 2.
+    A failure names the s of the sample or stencil at fault.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -192,19 +192,23 @@ def integrate_slice_quadrature(F: AnalyticFunction, path: Path, steps: int) -> I
     h = 1.0 / n
     check_axis = not F.is_entire
     g = []
-    for k in range(n + 1):
-        x = path.point(k * h)
-        if check_axis:
-            _check_axis(x.x1, x.x2, x.x3, k * h)
-        g.append(eval_function(F, x))
+    try:
+        for k in range(n + 1):
+            x = path.point(k * h)
+            if check_axis:
+                _check_axis(x.x1, x.x2, x.x3)
+            g.append(eval_function(F, x))
+    except (OverflowError, QintError) as e:
+        raise _located(e, k * h)
     if n == 1:
         value = g[1] - g[0]
     else:
         # trapezoid weights: half at the ends, 1 inside; the 1/(2h) of each
-        # stencil cancels the h of the rule
+        # stencil cancels the h of the rule. Term i > 1 is centred at (i - 1) h.
         ends = (0.5 * ((-3.0) * g[0] + 4.0 * g[1] - g[2]) * 0.5,
                 0.5 * (3.0 * g[n] - 4.0 * g[n - 1] + g[n - 2]) * 0.5)
-        value = _qsum(chain(ends, (0.5 * (g[k + 1] - g[k - 1]) for k in range(1, n))))
+        terms = chain(ends, (0.5 * (g[k + 1] - g[k - 1]) for k in range(1, n)))
+        value = Quaternion(*_sum(_columns(terms), lambda i: (i - 1) * h if i > 1 else float(i)))
     return _single_report(n, value, _try_reference(F, path))
 
 
@@ -268,44 +272,39 @@ def integrate_with_branch_tracking(F: AnalyticFunction, path: Path,
         rej = math.hypot(x1 - y * u[0], x2 - y * u[1], x3 - y * u[2])
         if rej > SLICE_REJECTION_TOL * max(1.0, math.hypot(w, x1, x2, x3)):
             raise SliceEscapeError(
-                f"point leaves the slice plane (off-plane magnitude {rej:.3e})",
-                s_param=k * h)
+                f"point leaves the slice plane (off-plane magnitude {rej:.3e})")
         z = complex(w, y)
         if z == 0:
-            raise DomainError("path passes through 0, where ln is singular",
-                              s_param=k * h)
+            raise DomainError("path passes through 0, where ln is singular")
         return z
-
-    k = 0
-    try:
-        z_first = z_prev = slice_z(0)
-        phase = total_phase = cmath.phase(z_first)
-        log_first = math.log(abs(z_first))
-        carry = [(0.0, 0.0)] * 2  # the real and imaginary parts of the sum
-        for first in range(1, n + 1, _SUM_CHUNK):
-            terms = []
-            for k in range(first, min(first + _SUM_CHUNK, n + 1)):
-                z = slice_z(k)
-                step = math.remainder(cmath.phase(z) - total_phase, math.tau)
-                if abs(step) > 0.5 * math.pi + UNWRAP_SLACK:
-                    raise StepTooCoarseError(
-                        f"phase jump {abs(step):.3f} rad exceeds pi/2; increase steps",
-                        s_param=k * h)
-                total_phase += step
-                terms.append((z - z_prev) / z_prev)
-                z_prev = z
-            columns = ([t.real for t in terms], [t.imag for t in terms])
-            try:
-                carry = _fold(carry, columns)
-            except OverflowError:  # name the left end of the first non-finite term
-                k = first + _first_non_finite(columns, k - first) - 1
-                raise
-        log_last = math.log(abs(z_prev))
-    except OverflowError as e:
-        raise DomainError(f"overflow ({e})", s_param=k * h) from e
 
     def to_quaternion(re: float, im: float) -> Quaternion:
         return Quaternion(re, im * u[0], im * u[1], im * u[2])
 
-    return _single_report(n, to_quaternion(carry[0][0], carry[1][0]),
-                          to_quaternion(log_last - log_first, total_phase - phase))
+    reference = []  # the unwrapped ln difference, set once the pass reaches s = 1
+
+    def chunks() -> Iterator[tuple[list[float], list[float]]]:
+        k = 0
+        try:
+            z_first = z_prev = slice_z(0)
+            phase = total_phase = cmath.phase(z_first)
+            log_first = math.log(abs(z_first))
+            for first in range(1, n + 1, _SUM_CHUNK):
+                terms = []
+                for k in range(first, min(first + _SUM_CHUNK, n + 1)):
+                    z = slice_z(k)
+                    step = math.remainder(cmath.phase(z) - total_phase, math.tau)
+                    if abs(step) > 0.5 * math.pi + UNWRAP_SLACK:
+                        raise StepTooCoarseError(
+                            f"phase jump {abs(step):.3f} rad exceeds pi/2; increase steps")
+                    total_phase += step
+                    terms.append((z - z_prev) / z_prev)
+                    z_prev = z
+                yield [t.real for t in terms], [t.imag for t in terms]
+            reference.append(to_quaternion(math.log(abs(z_prev)) - log_first,
+                                           total_phase - phase))
+        except (OverflowError, QintError) as e:
+            raise _located(e, k * h)
+
+    re, im = _sum(chunks(), lambda i: i * h)  # term i spans [i h, (i + 1) h]
+    return _single_report(n, to_quaternion(re, im), reference[0])

@@ -62,11 +62,8 @@ class Quaternion:
                               self.x2 * other, self.x3 * other)
         return NotImplemented
 
-    def __rmul__(self, other: Number) -> "Quaternion":
-        if isinstance(other, (int, float)):
-            return Quaternion(self.w * other, self.x1 * other,
-                              self.x2 * other, self.x3 * other)
-        return NotImplemented
+    # only a real scalar reaches __rmul__, and real scalars commute exactly
+    __rmul__ = __mul__
 
     def conj(self) -> "Quaternion":
         return Quaternion(self.w, -self.x1, -self.x2, -self.x3)

@@ -101,8 +101,11 @@ def decompose_delta(x: Quaternion, delta: Quaternion) -> DeltaSplit:
 
 def _lift(f: Callable[[complex], complex], x: Quaternion) -> Quaternion:
     """f(xi0 + i*r) = a + i*b mapped to a + b*u, u = (x - xi0)/r; a real x
-    maps to the real a. A non-finite f value raises OverflowError."""
+    maps to the real a. An infinite r or a non-finite f value raises
+    OverflowError."""
     r = math.hypot(x.x1, x.x2, x.x3)
+    if r == math.inf:
+        raise OverflowError("imaginary part out of range")
     fz = f(complex(x.w, r))
     if not cmath.isfinite(fz):
         raise OverflowError("function value out of range")
@@ -130,9 +133,12 @@ def perp_quotient(F: AnalyticFunction, x: Quaternion) -> float:
     """The real scalar [F(x) - F(conj x)] * (x - conj x)^-1 = b/r.
 
     On the real axis the quotient degenerates to the ordinary derivative
-    f'(xi0), which is the r -> 0 limit of b/r.
+    f'(xi0), which is the r -> 0 limit of b/r. An infinite r raises
+    OverflowError.
     """
-    r = x.imag_norm()
+    r = math.hypot(x.x1, x.x2, x.x3)
+    if r == math.inf:
+        raise OverflowError("imaginary part out of range")
     if r == 0.0:
         return F.deriv_complex(complex(x.w, 0.0)).real
     return F.eval_complex(complex(x.w, r)).imag / r

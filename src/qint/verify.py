@@ -11,8 +11,9 @@ from itertools import pairwise
 
 from .differential import differential
 from .functions import AnalyticFunction, antiderivative
-from .integrate import (EXACT_FLOOR, _qsum, convergence_study, endpoint_reference,
-                        integrate)
+from .errors import QintError
+from .integrate import (EXACT_FLOOR, _columns, _located, _sum, convergence_study,
+                        endpoint_reference, integrate)
 from .paths import Line, Path
 from .quaternion import Quaternion
 from .slices import decompose_delta, eval_function
@@ -115,11 +116,11 @@ def _decaying(errors: list[float], slack: float, floor: float) -> bool:
 
 
 def verify_ftc_forward(F: AnalyticFunction, path: Path, n_list: list[int],
-                       tol: Tolerances | None = None, rule: str = "left") -> CheckReport:
-    """Staircase value converges to F(end) - F(start): errors decay with N
-    and the finest one is small relative to the endpoint difference."""
+                       tol: Tolerances | None = None) -> CheckReport:
+    """Left-rule staircase value converges to F(end) - F(start): errors decay
+    with N and the finest one is small relative to the endpoint difference."""
     tol = tol or Tolerances()
-    study = convergence_study(F, path, n_list, rule=rule)
+    study = convergence_study(F, path, n_list)
     errors = [err for _, _, err in study.rows]
     scale = max(1.0, study.reference.norm())
     passed = (_decaying(errors, tol.decay_slack, tol.exact_floor)
@@ -127,7 +128,7 @@ def verify_ftc_forward(F: AnalyticFunction, path: Path, n_list: list[int],
     return CheckReport(
         check="ftc_forward", passed=passed, residuals=errors, tolerance=tol.ftc_final * scale,
         config={"path": path.to_json(), "function": F.to_json(), "steps": list(n_list),
-                "rule": rule, "est_order": study.est_order,
+                "rule": "left", "est_order": study.est_order,
                 "reference": study.reference.to_list()})
 
 
@@ -138,7 +139,8 @@ def inverse_ftc_residual(F: AnalyticFunction, x: Quaternion, delta: Quaternion,
 
     G(x+delta) extends G(x)'s path by two legs, the parallel increment first
     and then the perpendicular one. The base leg is computed once and shared
-    by both G values, so it cancels exactly in the difference.
+    by both G values, so it cancels up to rounding: ((g + a) + b) - g differs
+    from a + b by about 4e-16 unless x is DEFAULT_BASE, where g = 0.
     """
     split = decompose_delta(x, delta)
     x_mid = x + split.parallel
@@ -171,16 +173,25 @@ def by_parts_residual(F: AnalyticFunction, G: AnalyticFunction, path: Path,
 
     Both products ride the same left-endpoint staircase partition; order
     matters, F multiplies from the left in one term and G from the right in
-    the other.
+    the other. A failure names the s of the node at fault.
     """
     inv = 1.0 / steps
-    nodes = pairwise(path.point(k * inv) for k in range(steps + 1))
-    total = _qsum(term for x, b in nodes
-                  for term in (eval_function(F, x) * differential(G, x, b - x),
-                               differential(F, x, b - x) * eval_function(G, x)))
-    start, end = path.start, path.end
-    boundary = (eval_function(F, end) * eval_function(G, end)
-                - eval_function(F, start) * eval_function(G, start))
+
+    def terms():  # two per step, at the step's left node x
+        nodes = pairwise(path.point(k * inv) for k in range(steps + 1))
+        try:
+            for k, (x, b) in enumerate(nodes):
+                yield eval_function(F, x) * differential(G, x, b - x)
+                yield differential(F, x, b - x) * eval_function(G, x)
+        except (OverflowError, QintError) as e:
+            raise _located(e, k * inv)
+
+    total = Quaternion(*_sum(_columns(terms()), lambda i: i // 2 * inv))
+    try:  # the walk evaluated F and G at the start, not at the end
+        at_end = eval_function(F, path.end) * eval_function(G, path.end)
+    except (OverflowError, QintError) as e:
+        raise _located(e, 1.0)
+    boundary = at_end - eval_function(F, path.start) * eval_function(G, path.start)
     return (total - boundary).norm(), boundary
 
 

@@ -80,6 +80,15 @@ def test_path_through_zero_raises():
     assert exc.value.s_param == pytest.approx(0.5)
 
 
+def test_overflow_past_the_first_chunk_names_its_s():
+    # the term (z - z_prev) / z_prev leaving 5e-324 at s = 0.5 overflows
+    path = PolyLine((Quaternion(1, 0, 0, 0), Quaternion(5e-324, 0, 0, 0),
+                     Quaternion(1, 0, 0, 0)))
+    with pytest.raises(DomainError, match="overflow") as exc:
+        integrate_with_branch_tracking(LN, path, 4096)
+    assert exc.value.s_param == 0.5
+
+
 def test_leaving_the_slice_plane_raises():
     path = Line(Quaternion(1, 1, 0, 0), Quaternion(1, 0, 1, 0))
     with pytest.raises(SliceEscapeError) as exc:

@@ -95,6 +95,11 @@ def test_non_finite_json_numbers_exit_1(argv, capsys):
     ["diff", "--fn", "ln1m", "--at", "[1, 5e-324, 0, 0]", "--delta", "[0, 1, 0, 0]"],
     ["integrate", "--fn", "ln", "--steps", "1", "--branch-track", "--path",
      '{"kind": "line", "a": [5e-324, 0, 0, 0], "b": [1, 0, 0, 0]}'],
+    # an imaginary part longer than the largest double
+    ["eval", "--fn", "exp", "--at", "[0, 1.7e308, 1.7e308, 0]"],
+    ["diff", "--fn", "exp", "--at", "[0, 1.7e308, 1.7e308, 0]", "--delta", "[1, 0, 0, 0]"],
+    ["integrate", "--fn", "exp", "--steps", "4", "--path",
+     '{"kind": "line", "a": [0, 1.7e308, 1.7e308, 0], "b": [1, 1.7e308, 1.7e308, 0]}'],
 ])
 def test_overflow_is_a_domain_error(argv, capsys):
     assert main(argv) == 2

@@ -211,3 +211,33 @@ def test_kernel_failures_name_the_evaluation_s():
     with pytest.raises(DomainError, match=r"^\|z\| = .* outside radius") as exc:
         integrate(PowerSeries((1, 1), radius=1), outside, 10)
     assert exc.value.s_param == 0.5
+
+
+def test_quadrature_failures_name_the_sample_s():
+    far = Line(Quaternion(700, 1, 0, 0), Quaternion(720, 1, 0, 0))
+    with pytest.raises(DomainError, match="overflow") as exc:
+        integrate_slice_quadrature(NamedFunction("exp"), far, 10)
+    assert exc.value.s_param == 0.5
+    outside = Line(Quaternion(0, 0.5, 0, 0), Quaternion(2, 0.5, 0, 0))
+    with pytest.raises(DomainError, match=r"^\|z\| = .* outside radius") as exc:
+        integrate_slice_quadrature(PowerSeries((1, 1), radius=1), outside, 10)
+    assert exc.value.s_param == 0.5
+
+
+def test_quadrature_sum_overflow_names_the_stencil_centre():
+    # every sample is finite; the stencil g(0.6) - g(0.4) = -3e308 at s = 0.5 is not
+    peak = 1.5e308
+    path = PolyLine(tuple(Quaternion(w, 1, 0, 0) for w in (0, 0, peak, -peak, 0, 0)))
+    with pytest.raises(DomainError, match="overflow") as exc:
+        integrate_slice_quadrature(Monomial(1), path, 10)
+    assert exc.value.s_param == 0.5
+
+
+def test_staircase_fault_past_the_first_chunk_names_its_s():
+    # past s = 0.5 each chord moves x2 by ~4.9e6, so a term is ~4.9e6 exp(w):
+    # term 4055 of 4096, at w ~ 694.5, is the first non-finite one
+    path = PolyLine((Quaternion(0, 1, 0, 0), Quaternion(1, 1, 0, 0),
+                     Quaternion(709, 1, 1e10, 0)))
+    with pytest.raises(DomainError, match=r"overflow \(.* in fsum\)") as exc:
+        integrate(NamedFunction("exp"), path, 4096)
+    assert exc.value.s_param == 4055 / 4096

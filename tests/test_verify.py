@@ -86,12 +86,6 @@ class TestFtcForward:
         assert rep.residuals[0] > rep.residuals[1] > rep.residuals[2]
         assert rep.config["est_order"] == pytest.approx(1.0, abs=0.15)
 
-    def test_midpoint_rule_recorded_and_sharper(self):
-        left = verify_ftc_forward(X3, self.PATH, self.STEPS)
-        mid = verify_ftc_forward(X3, self.PATH, self.STEPS, rule="midpoint")
-        assert mid.config["rule"] == "midpoint"
-        assert mid.residuals[-1] < left.residuals[-1] / 10
-
     def test_unreachable_tolerance_fails_honestly(self):
         tight = replace(Tolerances(), ftc_final=1e-15)
         rep = verify_ftc_forward(X3, self.PATH, self.STEPS, tol=tight)
@@ -164,6 +158,23 @@ class TestByParts:
         path = Line(Quaternion(0, 0, 0, 0), Quaternion(1, 1, 1, 0))
         rep = verify_integration_by_parts(X2, X, path, 3)
         assert not rep.passed
+
+    def test_overflow_names_the_node_s(self):
+        exp = NamedFunction("exp")
+        far = Line(Quaternion(700, 1, 0, 0), Quaternion(720, 1, 0, 0))
+        with pytest.raises(DomainError, match="overflow") as exc:
+            verify_integration_by_parts(exp, exp, far, 10)
+        assert exc.value.s_param == 0.5
+        # every value is finite; from the node w = 355 on, exp(w) * exp(w) is not
+        products = Line(Quaternion(350, 1, 0, 0), Quaternion(360, 1, 0, 0))
+        with pytest.raises(DomainError, match="overflow") as exc:
+            verify_integration_by_parts(exp, exp, products, 10)
+        assert exc.value.s_param == 0.5
+        # the walk stops at the last left node, w = 709; exp(710) at the end overflows
+        near = Line(Quaternion(700, 1, 0, 0), Quaternion(710, 1, 0, 0))
+        with pytest.raises(DomainError, match="overflow") as exc:
+            verify_integration_by_parts(exp, PowerSeries((1.0,)), near, 10)
+        assert exc.value.s_param == 1.0
 
 
 class TestAntiderivativeMap:
