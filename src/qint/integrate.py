@@ -8,7 +8,7 @@ import math
 import statistics
 from dataclasses import dataclass, field
 from itertools import chain, islice
-from operator import attrgetter
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .differential import _differential
@@ -17,7 +17,7 @@ from .errors import (DegenerateSliceError, DomainError, MissingReferenceError, Q
 from .functions import AnalyticFunction, NamedFunction
 from .paths import Path
 from .quaternion import Quaternion
-from .slices import UnitImaginary, eval_function
+from .slices import UnitImaginary, _lift, eval_function
 
 # Errors at or below this are treated as exact (pure rounding noise), both for
 # the "exact" verdict and for excluding points from log-log order fits.
@@ -53,36 +53,36 @@ class IntegrationReport:
 
 def _sum(chunks: Iterable[Sequence[Sequence[float]]],
          s_of: Callable[[int], float]) -> list[float]:
-    """Component-wise sum of chunks of terms, a column of floats per component:
+    """Component-wise sum of chunks of terms, each term a row of floats:
     math.fsum (Shewchuk's correctly rounded summation) adds each column to a
     carried (total, remainder) pair, matching one fsum over all terms to about
     2**-106 relative. A non-finite term or total raises DomainError at s_of(i),
     i the running index of the first non-finite term (else the chunk's last)."""
     carry, done = None, 0
-    for columns in chunks:
+    for chunk in chunks:
         new = []
-        for (hi, lo), col in zip(carry or [(0.0, 0.0)] * len(columns), columns):
-            xs = [hi, lo, *col]
+        for j, (hi, lo) in enumerate(carry or [(0.0, 0.0)] * len(chunk[0])):
+            xs = [hi, lo, *map(itemgetter(j), chunk)]  # column j of the chunk
             try:
                 total = math.fsum(xs)
                 if not math.isfinite(total):
                     raise OverflowError("sum out of range")
             except (ValueError, OverflowError) as e:  # inf - inf, or past the largest double
-                i = next((i for i, row in enumerate(zip(*columns))
-                          if not all(map(math.isfinite, row))), len(columns[0]) - 1)
+                i = next((i for i, row in enumerate(chunk) if not all(map(math.isfinite, row))),
+                         len(chunk) - 1)
                 raise DomainError(f"overflow ({e})", s_param=s_of(done + i)) from e
             xs.append(-total)
             new.append((total, math.fsum(xs)))
-        carry, done = new, done + len(columns[0])
-        del columns, col, xs  # hold one chunk at a time: free it before the next is built
+        carry, done = new, done + len(chunk)
+        del chunk, xs  # hold one chunk at a time: free it before the next is built
     return [hi for hi, _ in carry]
 
 
-def _columns(rows: Iterable[Quaternion]) -> Iterator[tuple[tuple[float, ...], ...]]:
-    """Regroup a stream of quaternions into _sum chunks of _SUM_CHUNK terms."""
+def _chunks(rows: Iterable[Sequence[float]]) -> Iterator[list[Sequence[float]]]:
+    """Regroup a stream of rows into _sum chunks of _SUM_CHUNK rows."""
     it = iter(rows)
     while chunk := list(islice(it, _SUM_CHUNK)):
-        yield tuple(zip(*map(attrgetter("w", "x1", "x2", "x3"), chunk)))
+        yield chunk
 
 
 def _located(e: OverflowError | QintError, s: float) -> QintError:
@@ -100,18 +100,21 @@ def endpoint_reference(F: AnalyticFunction, path: Path) -> Quaternion:
 
     Only meaningful for single-valued F; multivalued functions make the
     endpoint difference path dependent, so no reference exists. An endpoint
-    outside F's domain raises DomainError as usual.
+    outside F's domain raises DomainError, a result out of range OverflowError.
     """
     if not F.single_valued:
         raise MissingReferenceError(
             "endpoint difference is path dependent for a multivalued function")
-    return eval_function(F, path.end) - eval_function(F, path.start)
+    ref = eval_function(F, path.end) - eval_function(F, path.start)
+    if not all(map(math.isfinite, ref.to_list())):
+        raise OverflowError("endpoint difference out of range")
+    return ref
 
 
 def _try_reference(F: AnalyticFunction, path: Path) -> Quaternion | None:
     try:
         return endpoint_reference(F, path)
-    except (MissingReferenceError, DomainError):
+    except (MissingReferenceError, DomainError, OverflowError):
         return None
 
 
@@ -128,7 +131,7 @@ def _check_axis(x1: float, x2: float, x3: float) -> None:
 
 
 def _staircase(F: AnalyticFunction, path: Path, steps: int,
-               lag: float) -> Iterator[tuple[list[float], ...]]:
+               lag: float) -> Iterator[list[tuple[float, float, float, float]]]:
     """_sum chunks of differential(F, x_eval, x_n - x_{n-1}), n = 1..steps, with
     x_eval at s = (n - lag) / steps, on bare floats: the float operations of
     differential() in the same order, so the same terms bit for bit, with no
@@ -139,23 +142,19 @@ def _staircase(F: AnalyticFunction, path: Path, steps: int,
     inv = 1.0 / steps
     pw, p1, p2, p3 = coords(0.0)
     for first in range(1, steps + 1, _SUM_CHUNK):
-        cw, c1, c2, c3 = columns = ([], [], [], [])
+        rows = []
         try:
             for n in range(first, min(first + _SUM_CHUNK, steps + 1)):
                 w, a1, a2, a3 = coords(n * inv)
                 xw, x1, x2, x3 = coords((n - lag) * inv) if midpoint else (pw, p1, p2, p3)
                 if check_axis:
                     _check_axis(x1, x2, x3)
-                tw, t1, t2, t3 = _differential(F, xw, x1, x2, x3, w - pw, a1 - p1, a2 - p2,
-                                               a3 - p3)
-                cw.append(tw)
-                c1.append(t1)
-                c2.append(t2)
-                c3.append(t3)
+                rows.append(_differential(F, xw, x1, x2, x3, w - pw, a1 - p1, a2 - p2,
+                                          a3 - p3))
                 pw, p1, p2, p3 = w, a1, a2, a3
         except (OverflowError, QintError) as e:
             raise _located(e, (n - lag) * inv)
-        yield columns
+        yield rows
 
 
 def integrate(F: AnalyticFunction, path: Path, steps: int,
@@ -182,34 +181,34 @@ def integrate(F: AnalyticFunction, path: Path, steps: int,
 def integrate_slice_quadrature(F: AnalyticFunction, path: Path, steps: int) -> IntegrationReport:
     """Trapezoid rule on dF(x(s))/ds with central finite differences.
 
-    Completely independent of the differential operator: it only ever calls
-    eval_function along the path, so it cross-checks the staircase. Order 2.
-    A failure names the s of the sample or stencil at fault.
+    Independent of the differential operator: it reads only f values, lifted
+    by the same _lift as eval_function, never _differential, deriv_complex or
+    differential, so it cross-checks the staircase. Order 2. A failure names
+    the s of the sample or stencil at fault.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    n = steps
-    h = 1.0 / n
+    h = 1.0 / steps
     check_axis = not F.is_entire
-    g = []
+    g = []  # F at the samples, as (w, x1, x2, x3) rows
     try:
-        for k in range(n + 1):
-            x = path.point(k * h)
+        for k in range(steps + 1):
+            w, x1, x2, x3 = path.coords(k * h)
             if check_axis:
-                _check_axis(x.x1, x.x2, x.x3)
-            g.append(eval_function(F, x))
+                _check_axis(x1, x2, x3)
+            g.append(_lift(F.eval_complex, w, x1, x2, x3))
     except (OverflowError, QintError) as e:
         raise _located(e, k * h)
-    if n == 1:
-        value = g[1] - g[0]
+    if steps == 1:
+        rows = [[-c for c in g[0]], g[1]]
     else:
         # trapezoid weights: half at the ends, 1 inside; the 1/(2h) of each
         # stencil cancels the h of the rule. Term i > 1 is centred at (i - 1) h.
-        ends = (0.5 * ((-3.0) * g[0] + 4.0 * g[1] - g[2]) * 0.5,
-                0.5 * (3.0 * g[n] - 4.0 * g[n - 1] + g[n - 2]) * 0.5)
-        terms = chain(ends, (0.5 * (g[k + 1] - g[k - 1]) for k in range(1, n)))
-        value = Quaternion(*_sum(_columns(terms), lambda i: (i - 1) * h if i > 1 else float(i)))
-    return _single_report(n, value, _try_reference(F, path))
+        ends = ([0.5 * (-3.0 * a + 4.0 * b - c) * 0.5 for a, b, c in zip(*g[:3])],
+                [0.5 * (3.0 * a - 4.0 * b + c) * 0.5 for c, b, a in zip(*g[-3:])])
+        rows = chain(ends, ([0.5 * (b - a) for a, b in zip(p, q)] for p, q in zip(g, g[2:])))
+    value = Quaternion(*_sum(_chunks(rows), lambda i: (i - 1) * h if i > 1 else float(i)))
+    return _single_report(steps, value, _try_reference(F, path))
 
 
 def convergence_study(F: AnalyticFunction, path: Path, n_list: list[int],
@@ -254,16 +253,14 @@ def integrate_with_branch_tracking(F: AnalyticFunction, path: Path,
         raise UnsupportedFunctionError("branch tracking is implemented for ln only")
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    n = steps
-    h = 1.0 / n
+    h = 1.0 / steps
 
     coords = path.coords
     u = (0.0, 0.0, 0.0)  # kept on a path along the real axis, where y = 0
-    for k in range(n + 1):  # the first off-axis point fixes the slice
+    for k in range(steps + 1):  # the first off-axis point fixes the slice
         _, x1, x2, x3 = coords(k * h)
         if x1 or x2 or x3:
-            unit = UnitImaginary(Quaternion(0.0, x1, x2, x3)).value
-            u = (unit.x1, unit.x2, unit.x3)
+            u = UnitImaginary(Quaternion(0.0, x1, x2, x3)).value.to_list()[1:]
             break
 
     def slice_z(k: int) -> complex:
@@ -283,28 +280,29 @@ def integrate_with_branch_tracking(F: AnalyticFunction, path: Path,
 
     reference = []  # the unwrapped ln difference, set once the pass reaches s = 1
 
-    def chunks() -> Iterator[tuple[list[float], list[float]]]:
+    def chunks() -> Iterator[list[tuple[float, float]]]:
         k = 0
         try:
             z_first = z_prev = slice_z(0)
             phase = total_phase = cmath.phase(z_first)
             log_first = math.log(abs(z_first))
-            for first in range(1, n + 1, _SUM_CHUNK):
-                terms = []
-                for k in range(first, min(first + _SUM_CHUNK, n + 1)):
+            for first in range(1, steps + 1, _SUM_CHUNK):
+                rows = []
+                for k in range(first, min(first + _SUM_CHUNK, steps + 1)):
                     z = slice_z(k)
                     step = math.remainder(cmath.phase(z) - total_phase, math.tau)
                     if abs(step) > 0.5 * math.pi + UNWRAP_SLACK:
                         raise StepTooCoarseError(
                             f"phase jump {abs(step):.3f} rad exceeds pi/2; increase steps")
                     total_phase += step
-                    terms.append((z - z_prev) / z_prev)
+                    t = (z - z_prev) / z_prev
+                    rows.append((t.real, t.imag))
                     z_prev = z
-                yield [t.real for t in terms], [t.imag for t in terms]
+                yield rows
             reference.append(to_quaternion(math.log(abs(z_prev)) - log_first,
                                            total_phase - phase))
         except (OverflowError, QintError) as e:
             raise _located(e, k * h)
 
     re, im = _sum(chunks(), lambda i: i * h)  # term i spans [i h, (i + 1) h]
-    return _single_report(n, to_quaternion(re, im), reference[0])
+    return _single_report(steps, to_quaternion(re, im), reference[0])

@@ -72,7 +72,7 @@ class Quaternion:
         return self.w * self.w + self.x1 * self.x1 + self.x2 * self.x2 + self.x3 * self.x3
 
     def norm(self) -> float:
-        return math.sqrt(self.norm_sq())
+        return math.hypot(self.w, self.x1, self.x2, self.x3)
 
     def imag_norm(self) -> float:
         """Length of the imaginary part, r = sqrt(x1^2 + x2^2 + x3^2)."""

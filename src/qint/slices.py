@@ -99,20 +99,20 @@ def decompose_delta(x: Quaternion, delta: Quaternion) -> DeltaSplit:
     return DeltaSplit(par, delta - par)
 
 
-def _lift(f: Callable[[complex], complex], x: Quaternion) -> Quaternion:
-    """f(xi0 + i*r) = a + i*b mapped to a + b*u, u = (x - xi0)/r; a real x
-    maps to the real a. An infinite r or a non-finite f value raises
-    OverflowError."""
-    r = math.hypot(x.x1, x.x2, x.x3)
+def _lift(f: Callable[[complex], complex], w: float, x1: float, x2: float,
+          x3: float) -> tuple[float, float, float, float]:
+    """f(xi0 + i*r) = a + i*b mapped to a + b*u, u = (x - xi0)/r, x = (w, x1, x2, x3);
+    a real x maps to the real a. An infinite r or a non-finite f raises OverflowError."""
+    r = math.hypot(x1, x2, x3)
     if r == math.inf:
         raise OverflowError("imaginary part out of range")
-    fz = f(complex(x.w, r))
+    fz = f(complex(w, r))
     if not cmath.isfinite(fz):
         raise OverflowError("function value out of range")
     if r == 0.0:
-        return Quaternion(fz.real, 0.0, 0.0, 0.0)
+        return fz.real, 0.0, 0.0, 0.0
     b = fz.imag
-    return Quaternion(fz.real, b * (x.x1 / r), b * (x.x2 / r), b * (x.x3 / r))
+    return fz.real, b * (x1 / r), b * (x2 / r), b * (x3 / r)
 
 
 def eval_function(F: AnalyticFunction, x: Quaternion) -> Quaternion:
@@ -121,12 +121,12 @@ def eval_function(F: AnalyticFunction, x: Quaternion) -> Quaternion:
     At real x this is just the real function value. Conjugating x conjugates
     the result exactly, because a and b are shared and only u flips.
     """
-    return _lift(F.eval_complex, x)
+    return Quaternion(*_lift(F.eval_complex, x.w, x.x1, x.x2, x.x3))
 
 
 def eval_derivative(F: AnalyticFunction, x: Quaternion) -> Quaternion:
     """F'(x) through the slice, same mapping as eval_function."""
-    return _lift(F.deriv_complex, x)
+    return Quaternion(*_lift(F.deriv_complex, x.w, x.x1, x.x2, x.x3))
 
 
 def perp_quotient(F: AnalyticFunction, x: Quaternion) -> float:

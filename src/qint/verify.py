@@ -12,7 +12,7 @@ from itertools import pairwise
 from .differential import differential
 from .functions import AnalyticFunction, antiderivative
 from .errors import QintError
-from .integrate import (EXACT_FLOOR, _columns, _located, _sum, convergence_study,
+from .integrate import (EXACT_FLOOR, _chunks, _located, _sum, convergence_study,
                         endpoint_reference, integrate)
 from .paths import Line, Path
 from .quaternion import Quaternion
@@ -177,21 +177,22 @@ def by_parts_residual(F: AnalyticFunction, G: AnalyticFunction, path: Path,
     """
     inv = 1.0 / steps
 
-    def terms():  # two per step, at the step's left node x
+    def rows():  # two per step, at the step's left node x
         nodes = pairwise(path.point(k * inv) for k in range(steps + 1))
         try:
             for k, (x, b) in enumerate(nodes):
-                yield eval_function(F, x) * differential(G, x, b - x)
-                yield differential(F, x, b - x) * eval_function(G, x)
+                yield (eval_function(F, x) * differential(G, x, b - x)).to_list()
+                yield (differential(F, x, b - x) * eval_function(G, x)).to_list()
         except (OverflowError, QintError) as e:
             raise _located(e, k * inv)
 
-    total = Quaternion(*_sum(_columns(terms()), lambda i: i // 2 * inv))
+    total = Quaternion(*_sum(_chunks(rows()), lambda i: i // 2 * inv))
     try:  # the walk evaluated F and G at the start, not at the end
         at_end = eval_function(F, path.end) * eval_function(G, path.end)
     except (OverflowError, QintError) as e:
         raise _located(e, 1.0)
-    boundary = at_end - eval_function(F, path.start) * eval_function(G, path.start)
+    at_start = eval_function(F, path.start) * eval_function(G, path.start)
+    boundary = Quaternion(*_sum([[at_end.to_list(), (-at_start).to_list()]], lambda i: 1.0 - i))
     return (total - boundary).norm(), boundary
 
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 
 import qint.cli as cli
+from conftest import FUNCTION_SPECS, PATH_SPECS, POINT_SPECS
 from qint import CheckReport, Quaternion
 from qint.cli import format_quaternion, main
 
@@ -208,6 +209,20 @@ def test_integrate_json_report(tmp_path, capsys):
         sum((a - b) ** 2 for a, b in zip(doc["value"], doc["reference"])) ** 0.5)
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-finite number {name} in a report")
+
+
+def test_integrate_json_report_holds_only_finite_numbers(tmp_path):
+    # value and reference are ~3e199; the squares in |value - reference| are not finite
+    out = tmp_path / "report.json"
+    rc = main(["integrate", "--fn", "exp", "--steps", "100", "--out", str(out), "--path",
+               '{"kind": "line", "a": [400, 1, 0, 0], "b": [460, 1, 0, 0]}'])
+    assert rc == 0
+    doc = json.loads(out.read_text(), parse_constant=_reject_constant)
+    assert math.isfinite(doc["abs_error"]) and doc["abs_error"] > 0
+
+
 def test_branch_tracked_winding(capsys):
     rc = main(["integrate", "--fn", "ln", "--path", UNIT_CIRCLE,
                "--steps", "10000", "--branch-track"])
@@ -280,38 +295,19 @@ def test_verify_invalid_tolerance_env_exits_1(monkeypatch, capsys):
 
 # -- the CLI contract over generated specs --------------------------------------
 
-_COMPONENTS = (st.sampled_from([0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e300, -1e300])
-               | st.floats(-4.0, 4.0))
-_POINTS = st.lists(_COMPONENTS, min_size=4, max_size=4)
-_FUNCTIONS = st.recursive(
-    st.sampled_from(["exp", "sin", "cos", "ln", "ln1m", "reciprocal"])
-    .map(lambda name: {"kind": "named", "name": name})
-    | st.integers(0, 40).map(lambda n: {"kind": "named", "name": "monomial", "n": n})
-    | st.builds(lambda c, r: {"kind": "series", "coeffs": c, "radius": r},
-                st.lists(_COMPONENTS, min_size=1, max_size=6),
-                st.none() | _COMPONENTS.map(abs)),
-    lambda inner: st.builds(lambda c, f: {"kind": "scaled", "factor": c, "inner": f},
-                            _COMPONENTS, inner),
-    max_leaves=3)
-_PATHS = (st.builds(lambda a, b: {"kind": "line", "a": a, "b": b}, _POINTS, _POINTS)
-          | st.builds(lambda p: {"kind": "polyline", "points": p},
-                      st.lists(_POINTS, min_size=2, max_size=4))
-          | st.builds(lambda c, r, u, t: {"kind": "circle", "center": c, "radius": r,
-                                          "u": [0.0] + u, "turns": t},
-                      _COMPONENTS, _COMPONENTS.map(abs),
-                      st.lists(_COMPONENTS, min_size=3, max_size=3), _COMPONENTS))
 _ARGVS = (
     st.builds(lambda f, x: ["eval", "--fn", json.dumps(f), "--at", json.dumps(x)],
-              _FUNCTIONS, _POINTS)
+              FUNCTION_SPECS, POINT_SPECS)
     | st.builds(lambda f, x, d: ["diff", "--fn", json.dumps(f), "--at", json.dumps(x),
-                                 "--delta", json.dumps(d)], _FUNCTIONS, _POINTS, _POINTS)
+                                 "--delta", json.dumps(d)],
+                FUNCTION_SPECS, POINT_SPECS, POINT_SPECS)
     | st.builds(lambda f, p, n, mode: ["integrate", "--fn", json.dumps(f), "--path",
                                        json.dumps(p), "--steps", str(n), mode],
-                _FUNCTIONS, _PATHS, st.integers(1, 64),
+                FUNCTION_SPECS, PATH_SPECS, st.integers(1, 64),
                 st.sampled_from(["--rule=left", "--rule=midpoint"]))
     | st.builds(lambda f, p, n: ["integrate", "--fn", json.dumps(f), "--path",
                                  json.dumps(p), "--steps", str(n), "--branch-track"],
-                st.just({"kind": "named", "name": "ln"}) | _FUNCTIONS, _PATHS,
+                st.just({"kind": "named", "name": "ln"}) | FUNCTION_SPECS, PATH_SPECS,
                 st.integers(1, 64)))
 
 

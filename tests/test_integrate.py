@@ -1,13 +1,18 @@
 import math
+import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
-from conftest import assert_close, quaternions
-from qint import (DegenerateSliceError, DomainError, Line, MissingReferenceError,
-                  Monomial, NamedFunction, PolyLine, PowerSeries, Quaternion,
-                  SliceCircle, UnitImaginary, convergence_study, differential,
-                  endpoint_reference, eval_function, integrate, integrate_slice_quadrature)
+from conftest import FUNCTION_SPECS, PATH_SPECS, POINT_SPECS, assert_close, quaternions
+from qint import (DegenerateSliceError, DomainError, IntegrationReport, Line,
+                  MissingReferenceError, Monomial, NamedFunction, PolyLine, PowerSeries,
+                  QintError, Quaternion, SliceCircle, UnitImaginary, convergence_study,
+                  differential, endpoint_reference, eval_function, integrate,
+                  integrate_slice_quadrature, integrate_with_branch_tracking, parse_function,
+                  parse_path)
+from qint.integrate import _SUM_CHUNK, _chunks, _sum
+from qint.verify import by_parts_residual, inverse_ftc_residual
 
 U_I = UnitImaginary(Quaternion(0, 1, 0, 0))
 
@@ -231,6 +236,11 @@ def test_quadrature_sum_overflow_names_the_stencil_centre():
     with pytest.raises(DomainError, match="overflow") as exc:
         integrate_slice_quadrature(Monomial(1), path, 10)
     assert exc.value.s_param == 0.5
+    # one step is the pair of samples; their difference is past the largest double
+    wide = Line(Quaternion(-1.7e308, 1, 0, 0), Quaternion(1.7e308, 1, 0, 0))
+    with pytest.raises(DomainError, match="overflow") as exc:
+        integrate_slice_quadrature(Monomial(1), wide, 1)
+    assert exc.value.s_param == 1.0
 
 
 def test_staircase_fault_past_the_first_chunk_names_its_s():
@@ -241,3 +251,59 @@ def test_staircase_fault_past_the_first_chunk_names_its_s():
     with pytest.raises(DomainError, match=r"overflow \(.* in fsum\)") as exc:
         integrate(NamedFunction("exp"), path, 4096)
     assert exc.value.s_param == 4055 / 4096
+
+
+def test_sum_carries_the_remainder_across_chunks():
+    # large terms cancel only in a later chunk, so each chunk's rounded total
+    # drops the small terms; only the carried remainder brings them back. The
+    # terms are dyadic and span under 2**106, so (total, remainder) holds
+    # every partial sum exactly and the result equals one fsum bit for bit.
+    rng = random.Random(3)
+    rows = [(rng.randint(-2**20, 2**20) * 2.0**-10, rng.randint(-2**20, 2**20) * 2.0**-30)
+            for _ in range(3 * _SUM_CHUNK + 7)]
+    rows[_SUM_CHUNK - 1] = (2.0**70, -2.0**50)
+    rows[_SUM_CHUNK] = (3 * 2.0**66, 2.0**48)
+    rows[2 * _SUM_CHUNK + 2] = (-2.0**70, 2.0**50)
+    rows[3 * _SUM_CHUNK] = (-3 * 2.0**66, -2.0**48)
+    got = _sum(_chunks(rows), float)
+    assert got == [math.fsum(column) for column in zip(*rows)]
+
+
+LN = NamedFunction("ln")
+
+
+@settings(max_examples=150, deadline=None)
+@given(FUNCTION_SPECS, FUNCTION_SPECS, PATH_SPECS, POINT_SPECS, POINT_SPECS,
+       st.integers(1, 64))
+def test_library_contract_holds_for_generated_specs(f, g, p, x, d, steps):
+    # every returned number is finite, or a QintError names the s at fault;
+    # inverse_ftc_residual takes points, not a path, so it may raise without s.
+    # Branch tracking runs on ln, the one function it accepts.
+    try:
+        F, G, path = parse_function(f), parse_function(g), parse_path(p)
+        x, delta = Quaternion.from_list(x), Quaternion.from_list(d)
+    except (ValueError, QintError):
+        reject()
+    calls = {
+        "left": lambda: integrate(F, path, steps),
+        "midpoint": lambda: integrate(F, path, steps, rule="midpoint"),
+        "quadrature": lambda: integrate_slice_quadrature(F, path, steps),
+        "branch": lambda: integrate_with_branch_tracking(LN, path, steps),
+        "by_parts": lambda: by_parts_residual(F, G, path, steps),
+        "inverse_ftc": lambda: inverse_ftc_residual(F, x, delta, steps),
+    }
+    for name, call in calls.items():
+        try:
+            out = call()
+        except QintError as e:
+            assert e.s_param is not None or name == "inverse_ftc", (name, e)
+            continue
+        if isinstance(out, IntegrationReport):
+            out = (out.value, out.reference, out.abs_error)
+        numbers = []
+        for item in out if isinstance(out, tuple) else (out,):
+            if isinstance(item, Quaternion):
+                numbers += item.to_list()
+            elif item is not None:
+                numbers.append(item)
+        assert all(map(math.isfinite, numbers)), (name, out)

@@ -63,6 +63,8 @@ def test_conj_and_norms():
     assert q.norm_sq() == 30
     assert q.norm() == pytest.approx(math.sqrt(30))
     assert q.imag_norm() == pytest.approx(math.sqrt(29))
+    # the squared norm overflows; the norm does not
+    assert Quaternion(1e200, 0, 0, 0).norm() == 1e200
     # x * conj(x) is the squared norm, as a real quaternion
     assert_close(q * q.conj(), Quaternion(30, 0, 0, 0), 1e-12)
 

@@ -175,6 +175,12 @@ class TestByParts:
         with pytest.raises(DomainError, match="overflow") as exc:
             verify_integration_by_parts(exp, PowerSeries((1.0,)), near, 10)
         assert exc.value.s_param == 1.0
+        # the walk's terms stay finite up to the last left node, w = 354; the
+        # boundary term F G at the end, exp(355)^2, does not
+        boundary = Line(Quaternion(345, 1, 0, 0), Quaternion(355, 1, 0, 0))
+        with pytest.raises(DomainError, match="overflow") as exc:
+            verify_integration_by_parts(exp, exp, boundary, 10)
+        assert exc.value.s_param == 1.0
 
 
 class TestAntiderivativeMap:
