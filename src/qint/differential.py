@@ -10,7 +10,8 @@ import math
 
 from .functions import AnalyticFunction
 from .quaternion import ONE, ZERO, Quaternion
-from .slices import decompose_delta, eval_derivative, eval_function, perp_quotient
+from .slices import (_TINY_R, _tiny_r_quotient, decompose_delta, eval_derivative, eval_function,
+                     perp_quotient)
 
 
 def differential(F: AnalyticFunction, x: Quaternion, delta: Quaternion) -> Quaternion:
@@ -40,7 +41,8 @@ def _differential(F: AnalyticFunction, xw: float, x1: float, x2: float, x3: floa
         raise OverflowError("imaginary part out of range")
     z = complex(xw, r)
     fp = F.deriv_complex(z)          # F'(x) = c + d*u in the slice
-    q = F.eval_complex(z).imag / r   # perpendicular quotient b/r
+    # perpendicular quotient b/r; at tiny r, where b underflows, Re f'(z)
+    q = F.eval_complex(z).imag / r if r >= _TINY_R else _tiny_r_quotient(F, z)
     c, d = fp.real, fp.imag
     u1, u2, u3 = x1 / r, x2 / r, x3 / r
     # delta = [dw + t*u] (parallel, complex in the slice) + rejection (perp)

@@ -7,7 +7,6 @@ import cmath
 import math
 import statistics
 from dataclasses import dataclass, field
-from itertools import chain, islice
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -78,13 +77,6 @@ def _sum(chunks: Iterable[Sequence[Sequence[float]]],
     return [hi for hi, _ in carry]
 
 
-def _chunks(rows: Iterable[Sequence[float]]) -> Iterator[list[Sequence[float]]]:
-    """Regroup a stream of rows into _sum chunks of _SUM_CHUNK rows."""
-    it = iter(rows)
-    while chunk := list(islice(it, _SUM_CHUNK)):
-        yield chunk
-
-
 def _located(e: OverflowError | QintError, s: float) -> QintError:
     """A failure at path parameter s as an error that names s: an
     OverflowError becomes a DomainError, a QintError without s gets s."""
@@ -100,21 +92,29 @@ def endpoint_reference(F: AnalyticFunction, path: Path) -> Quaternion:
 
     Only meaningful for single-valued F; multivalued functions make the
     endpoint difference path dependent, so no reference exists. An endpoint
-    outside F's domain raises DomainError, a result out of range OverflowError.
+    outside F's domain or a result out of range raises a QintError naming s:
+    0 for the start value, 1 for the end value and the difference.
     """
     if not F.single_valued:
         raise MissingReferenceError(
             "endpoint difference is path dependent for a multivalued function")
-    ref = eval_function(F, path.end) - eval_function(F, path.start)
-    if not all(map(math.isfinite, ref.to_list())):
-        raise OverflowError("endpoint difference out of range")
+    try:
+        start = eval_function(F, path.start)
+    except (OverflowError, QintError) as e:
+        raise _located(e, 0.0)
+    try:
+        ref = eval_function(F, path.end) - start
+        if not all(map(math.isfinite, ref.to_list())):
+            raise OverflowError("endpoint difference out of range")
+    except (OverflowError, QintError) as e:
+        raise _located(e, 1.0)
     return ref
 
 
 def _try_reference(F: AnalyticFunction, path: Path) -> Quaternion | None:
     try:
         return endpoint_reference(F, path)
-    except (MissingReferenceError, DomainError, OverflowError):
+    except (MissingReferenceError, DomainError):
         return None
 
 
@@ -130,14 +130,13 @@ def _check_axis(x1: float, x2: float, x3: float) -> None:
         raise DegenerateSliceError("evaluation point on the real axis for a non-entire function")
 
 
-def _staircase(F: AnalyticFunction, path: Path, steps: int,
-               lag: float) -> Iterator[list[tuple[float, float, float, float]]]:
-    """_sum chunks of differential(F, x_eval, x_n - x_{n-1}), n = 1..steps, with
-    x_eval at s = (n - lag) / steps, on bare floats: the float operations of
-    differential() in the same order, so the same terms bit for bit, with no
-    Quaternion built per step. A failure names the s of its evaluation point."""
+def _staircase(term: Callable[..., Sequence[float]], F: AnalyticFunction, path: Path,
+               steps: int, lag: float) -> Iterator[list[Sequence[float]]]:
+    """_sum chunks of rows term(F, x_eval, x_n - x_{n-1}), n = 1..steps, x_eval at
+    s = (n - lag) / steps, on bare floats as in _differential's signature; with
+    term = _differential, differential()'s terms bit for bit, and no Quaternion
+    per step. A failure names the s of its evaluation point."""
     coords = path.coords
-    check_axis = not F.is_entire
     midpoint = lag != 1.0
     inv = 1.0 / steps
     pw, p1, p2, p3 = coords(0.0)
@@ -147,14 +146,16 @@ def _staircase(F: AnalyticFunction, path: Path, steps: int,
             for n in range(first, min(first + _SUM_CHUNK, steps + 1)):
                 w, a1, a2, a3 = coords(n * inv)
                 xw, x1, x2, x3 = coords((n - lag) * inv) if midpoint else (pw, p1, p2, p3)
-                if check_axis:
-                    _check_axis(x1, x2, x3)
-                rows.append(_differential(F, xw, x1, x2, x3, w - pw, a1 - p1, a2 - p2,
-                                          a3 - p3))
+                rows.append(term(F, xw, x1, x2, x3, w - pw, a1 - p1, a2 - p2, a3 - p3))
                 pw, p1, p2, p3 = w, a1, a2, a3
         except (OverflowError, QintError) as e:
             raise _located(e, (n - lag) * inv)
         yield rows
+
+
+def _off_axis_differential(F, xw, x1, x2, x3, dw, d1, d2, d3):
+    _check_axis(x1, x2, x3)  # a non-entire F is rejected on the real axis
+    return _differential(F, xw, x1, x2, x3, dw, d1, d2, d3)
 
 
 def integrate(F: AnalyticFunction, path: Path, steps: int,
@@ -174,25 +175,32 @@ def integrate(F: AnalyticFunction, path: Path, steps: int,
         raise ValueError(f"unknown rule {rule!r}; expected 'left' or 'midpoint'")
     lag = 0.5 if rule == "midpoint" else 1.0
     inv = 1.0 / steps
-    value = _sum(_staircase(F, path, steps, lag), lambda i: (i + 1 - lag) * inv)
+    term = _differential if F.is_entire else _off_axis_differential
+    value = _sum(_staircase(term, F, path, steps, lag), lambda i: (i + 1 - lag) * inv)
     return _single_report(steps, Quaternion(*value), _try_reference(F, path))
 
 
 def integrate_slice_quadrature(F: AnalyticFunction, path: Path, steps: int) -> IntegrationReport:
-    """Trapezoid rule on dF(x(s))/ds with central finite differences.
+    """Trapezoid rule on dF(x(s))/ds with central finite differences. Order 2.
+
+    The interior stencils (g_{k+1} - g_{k-1})/2, g_k = F(x(k/N)), telescope to
+    (g_N + g_{N-1} - g_1 - g_0)/2, so the value is F(b) - F(a) plus an O(h^2)
+    end correction, read from six samples, k in {0, 1, 2, N-2, N-1, N}. It
+    checks the staircase against F's end values only: a loop around a
+    singularity, or a pole, a disk's edge or a real-axis point between those
+    samples, goes unseen.
 
     Independent of the differential operator: it reads only f values, lifted
     by the same _lift as eval_function, never _differential, deriv_complex or
-    differential, so it cross-checks the staircase. Order 2. A failure names
-    the s of the sample or stencil at fault.
+    differential. A failure names the s of its sample or first non-finite row.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     h = 1.0 / steps
     check_axis = not F.is_entire
-    g = []  # F at the samples, as (w, x1, x2, x3) rows
+    g = []  # F at the (at most six) sampled k, in s order, as (w, x1, x2, x3) rows
     try:
-        for k in range(steps + 1):
+        for k in sorted(k for k in {0, 1, 2, steps - 2, steps - 1, steps} if 0 <= k <= steps):
             w, x1, x2, x3 = path.coords(k * h)
             if check_axis:
                 _check_axis(x1, x2, x3)
@@ -200,14 +208,19 @@ def integrate_slice_quadrature(F: AnalyticFunction, path: Path, steps: int) -> I
     except (OverflowError, QintError) as e:
         raise _located(e, k * h)
     if steps == 1:
-        rows = [[-c for c in g[0]], g[1]]
+        rows, at = [[-c for c in g[0]], g[1]], [0.0, 1.0]
     else:
         # trapezoid weights: half at the ends, 1 inside; the 1/(2h) of each
-        # stencil cancels the h of the rule. Term i > 1 is centred at (i - 1) h.
-        ends = ([0.5 * (-3.0 * a + 4.0 * b - c) * 0.5 for a, b, c in zip(*g[:3])],
-                [0.5 * (3.0 * a - 4.0 * b + c) * 0.5 for c, b, a in zip(*g[-3:])])
-        rows = chain(ends, ([0.5 * (b - a) for a, b in zip(p, q)] for p, q in zip(g, g[2:])))
-    value = Quaternion(*_sum(_chunks(rows), lambda i: (i - 1) * h if i > 1 else float(i)))
+        # stencil cancels the h of the rule. The two one-sided end stencils,
+        # and the interior central differences by their telescoped sum.
+        rows = [[-0.5 * c for c in g[0]],
+                [0.5 * (-3.0 * a + 4.0 * b - c) * 0.5 for a, b, c in zip(*g[:3])],
+                [-0.5 * c for c in g[1]],
+                [0.5 * c for c in g[-2]],
+                [0.5 * c for c in g[-1]],
+                [0.5 * (3.0 * a - 4.0 * b + c) * 0.5 for c, b, a in zip(*g[-3:])]]
+        at = [0.0, 0.0, h, (steps - 1) * h, 1.0, 1.0]  # each row's sample s
+    value = Quaternion(*_sum([rows], lambda i: at[i]))
     return _single_report(steps, value, _try_reference(F, path))
 
 

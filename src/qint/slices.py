@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import DegenerateSliceError
+from .errors import DegenerateSliceError, DomainError
 from .functions import AnalyticFunction
 from .quaternion import Quaternion
 
@@ -129,11 +129,29 @@ def eval_derivative(F: AnalyticFunction, x: Quaternion) -> Quaternion:
     return Quaternion(*_lift(F.deriv_complex, x.w, x.x1, x.x2, x.x3))
 
 
+# Below this r, r * r is subnormal, and b = Im f(xi0 + r i) may lose bits to
+# underflow (all of them at r = 5e-324) while Re f'(xi0 + r i) does not.
+_TINY_R = 2.0 ** -511
+
+
+def _tiny_r_quotient(F: AnalyticFunction, z: complex) -> float:
+    """b/r at z = xi0 + r i, 0 < r < _TINY_R. Where F is defined at the real
+    point xi0, b/r and Re f'(z) both equal f'(xi0) up to O(r^2), far below
+    one ulp, so Re f'(z) is taken; on a cut (a DomainError at xi0) b/r stays,
+    so no threshold jumps across it."""
+    try:
+        F.eval_complex(complex(z.real, 0.0))
+    except DomainError:
+        return F.eval_complex(z).imag / z.imag
+    return F.deriv_complex(z).real
+
+
 def perp_quotient(F: AnalyticFunction, x: Quaternion) -> float:
     """The real scalar [F(x) - F(conj x)] * (x - conj x)^-1 = b/r.
 
     On the real axis the quotient degenerates to the ordinary derivative
-    f'(xi0), which is the r -> 0 limit of b/r. An infinite r raises
+    f'(xi0), which is the r -> 0 limit of b/r; below r = 2**-511 it is read
+    as Re f'(z) wherever F is defined at xi0. An infinite r raises
     OverflowError.
     """
     r = math.hypot(x.x1, x.x2, x.x3)
@@ -141,4 +159,5 @@ def perp_quotient(F: AnalyticFunction, x: Quaternion) -> float:
         raise OverflowError("imaginary part out of range")
     if r == 0.0:
         return F.deriv_complex(complex(x.w, 0.0)).real
-    return F.eval_complex(complex(x.w, r)).imag / r
+    z = complex(x.w, r)
+    return F.eval_complex(z).imag / r if r >= _TINY_R else _tiny_r_quotient(F, z)

@@ -286,7 +286,11 @@ def check_antiderivative(tol: Tolerances) -> CheckReport:
 
 
 def check_mutual_oracle(tol: Tolerances) -> CheckReport:
-    """Staircase and ds-quadrature agree on every catalog function/path pair."""
+    """Staircase and ds-quadrature agree on every catalog function/path pair.
+
+    The quadrature telescopes to F's end values plus an O(h^2) correction, read
+    through f only, so this checks the staircase (built on f' and b/r) against
+    F(end) - F(start), not against the inside of the path."""
     n = 10_000
     residuals = []
     pairs = []

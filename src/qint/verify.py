@@ -7,16 +7,15 @@ measured residuals, never a bare boolean.
 import json
 import os
 from dataclasses import dataclass, field, fields, replace
-from itertools import pairwise
 
-from .differential import differential
+from .differential import _differential, differential
 from .functions import AnalyticFunction, antiderivative
 from .errors import QintError
-from .integrate import (EXACT_FLOOR, _chunks, _located, _sum, convergence_study,
+from .integrate import (EXACT_FLOOR, _located, _staircase, _sum, convergence_study,
                         endpoint_reference, integrate)
 from .paths import Line, Path
 from .quaternion import Quaternion
-from .slices import decompose_delta, eval_function
+from .slices import _lift, decompose_delta, eval_function
 
 # Default base point for the indefinite integral in the inverse direction.
 DEFAULT_BASE = Quaternion(1.0, 1.0, 0.0, 0.0)
@@ -171,22 +170,17 @@ def by_parts_residual(F: AnalyticFunction, G: AnalyticFunction, path: Path,
                       steps: int) -> tuple[float, Quaternion]:
     """Residual of sum[F dG + (dF) G] against the boundary term F G |_a^b.
 
-    Both products ride the same left-endpoint staircase partition; order
-    matters, F multiplies from the left in one term and G from the right in
-    the other. A failure names the s of the node at fault.
+    Both products ride the left-rule staircase kernel at the step's left node;
+    order matters, F multiplies from the left in one term and G from the right
+    in the other. A failure names the s of the node at fault.
     """
+    def term(F, *xd):  # F(x) dG + dF G(x) as a row; xd is x then the chord
+        dF, dG = Quaternion(*_differential(F, *xd)), Quaternion(*_differential(G, *xd))
+        return (Quaternion(*_lift(F.eval_complex, *xd[:4])) * dG
+                + dF * Quaternion(*_lift(G.eval_complex, *xd[:4]))).to_list()
+
     inv = 1.0 / steps
-
-    def rows():  # two per step, at the step's left node x
-        nodes = pairwise(path.point(k * inv) for k in range(steps + 1))
-        try:
-            for k, (x, b) in enumerate(nodes):
-                yield (eval_function(F, x) * differential(G, x, b - x)).to_list()
-                yield (differential(F, x, b - x) * eval_function(G, x)).to_list()
-        except (OverflowError, QintError) as e:
-            raise _located(e, k * inv)
-
-    total = Quaternion(*_sum(_chunks(rows()), lambda i: i // 2 * inv))
+    total = Quaternion(*_sum(_staircase(term, F, path, steps, 1.0), lambda i: i * inv))
     try:  # the walk evaluated F and G at the start, not at the end
         at_end = eval_function(F, path.end) * eval_function(G, path.end)
     except (OverflowError, QintError) as e:

@@ -101,6 +101,9 @@ def test_non_finite_json_numbers_exit_1(argv, capsys):
     ["diff", "--fn", "exp", "--at", "[0, 1.7e308, 1.7e308, 0]", "--delta", "[1, 0, 0, 0]"],
     ["integrate", "--fn", "exp", "--steps", "4", "--path",
      '{"kind": "line", "a": [0, 1.7e308, 1.7e308, 0], "b": [1, 1.7e308, 1.7e308, 0]}'],
+    # a study needs the end value exp(710), which overflows at s = 1
+    ["integrate", "--fn", "exp", "--study", "1,2,4", "--path",
+     '{"kind": "line", "a": [0, 1, 0, 0], "b": [710, 1, 0, 0]}'],
 ])
 def test_overflow_is_a_domain_error(argv, capsys):
     assert main(argv) == 2
@@ -144,6 +147,21 @@ def test_eval_off_the_cut_lifts_along_the_true_direction(argv, expected, capsys)
     got = printed_quaternion(capsys)
     assert all(math.isfinite(c) for c in got)
     assert got == pytest.approx(expected, rel=1e-12, abs=1e-11)
+
+
+@pytest.mark.parametrize("fn, expected", [("exp", math.exp(-1)), ("sin", math.cos(-1))])
+def test_diff_at_subnormal_r_keeps_the_perpendicular_quotient(fn, expected, capsys):
+    # b = Im f(-1 + 5e-324 i) underflows, so b/r would read 0; Re f'(z) does not
+    argv = ["diff", "--fn", fn, "--at", "[-1, 5e-324, 0, 0]", "--delta", "[0, 0, 1, 0]"]
+    assert main(argv) == 0
+    assert printed_quaternion(capsys) == [0.0, 0.0, expected, 0.0]
+
+
+def test_diff_at_subnormal_r_on_the_cut_overflows(capsys):
+    # ln is not defined at the real point -1, so b/r = (pi - r)/r stays and overflows
+    argv = ["diff", "--fn", "ln", "--at", "[-1, 5e-324, 0, 0]", "--delta", "[0, 0, 1, 0]"]
+    assert main(argv) == 2
+    assert "overflow" in capsys.readouterr().err
 
 
 def test_missing_subcommand_exits_1(capsys):

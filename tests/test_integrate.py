@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, reject, settings, strategies as st
@@ -11,7 +12,8 @@ from qint import (DegenerateSliceError, DomainError, IntegrationReport, Line,
                   differential, endpoint_reference, eval_function, integrate,
                   integrate_slice_quadrature, integrate_with_branch_tracking, parse_function,
                   parse_path)
-from qint.integrate import _SUM_CHUNK, _chunks, _sum
+from qint.functions import AnalyticFunction
+from qint.integrate import _SUM_CHUNK, _sum
 from qint.verify import by_parts_residual, inverse_ftc_residual
 
 U_I = UnitImaginary(Quaternion(0, 1, 0, 0))
@@ -166,8 +168,11 @@ def test_axis_crossing_rejected_for_non_entire():
     with pytest.raises(DegenerateSliceError) as exc:
         integrate(NamedFunction("reciprocal"), path, 100)
     assert exc.value.s_param == pytest.approx(0.5, abs=0.01)
-    with pytest.raises(DegenerateSliceError):
-        integrate_slice_quadrature(NamedFunction("reciprocal"), path, 100)
+    # the quadrature samples only near the ends, so it sees the axis only there
+    from_axis = Line(Quaternion(0.25, 0, 0, 0), Quaternion(0.25, 0.5, 0, 0))
+    with pytest.raises(DegenerateSliceError) as exc:
+        integrate_slice_quadrature(NamedFunction("reciprocal"), from_axis, 100)
+    assert exc.value.s_param == 0.0
 
 
 def test_axis_crossing_fine_for_entire():
@@ -219,28 +224,98 @@ def test_kernel_failures_name_the_evaluation_s():
 
 
 def test_quadrature_failures_name_the_sample_s():
+    # samples at s = 0, 0.1, 0.2, 0.8, 0.9, 1: the fault starts at s = 0.5,
+    # so the first sample that meets it is s = 0.8
     far = Line(Quaternion(700, 1, 0, 0), Quaternion(720, 1, 0, 0))
     with pytest.raises(DomainError, match="overflow") as exc:
         integrate_slice_quadrature(NamedFunction("exp"), far, 10)
-    assert exc.value.s_param == 0.5
+    assert exc.value.s_param == 0.8
     outside = Line(Quaternion(0, 0.5, 0, 0), Quaternion(2, 0.5, 0, 0))
     with pytest.raises(DomainError, match=r"^\|z\| = .* outside radius") as exc:
         integrate_slice_quadrature(PowerSeries((1, 1), radius=1), outside, 10)
-    assert exc.value.s_param == 0.5
+    assert exc.value.s_param == 0.8
 
 
 def test_quadrature_sum_overflow_names_the_stencil_centre():
-    # every sample is finite; the stencil g(0.6) - g(0.4) = -3e308 at s = 0.5 is not
+    # every sample is finite; in the end stencil at s = 0, 4 g(0.1) = 1.6 peak is not
     peak = 1.5e308
-    path = PolyLine(tuple(Quaternion(w, 1, 0, 0) for w in (0, 0, peak, -peak, 0, 0)))
+    path = PolyLine(tuple(Quaternion(w, 1, 0, 0) for w in (0, peak, 0, 0, 0)))
     with pytest.raises(DomainError, match="overflow") as exc:
         integrate_slice_quadrature(Monomial(1), path, 10)
-    assert exc.value.s_param == 0.5
+    assert exc.value.s_param == 0.0
     # one step is the pair of samples; their difference is past the largest double
     wide = Line(Quaternion(-1.7e308, 1, 0, 0), Quaternion(1.7e308, 1, 0, 0))
     with pytest.raises(DomainError, match="overflow") as exc:
         integrate_slice_quadrature(Monomial(1), wide, 1)
     assert exc.value.s_param == 1.0
+
+
+def trapezoid_of_central_differences(F, path, n):
+    """The quadrature's sum written out: the trapezoid rule over all n + 1
+    samples, O(n) terms, one math.fsum per component."""
+    h = 1.0 / n
+    g = [eval_function(F, path.point(k * h)).to_list() for k in range(n + 1)]
+    terms = [[0.25 * (-3.0 * a + 4.0 * b - c) for a, b, c in zip(*g[:3])],
+             [0.25 * (3.0 * a - 4.0 * b + c) for c, b, a in zip(*g[-3:])]]
+    terms += [[0.5 * (b - a) for a, b in zip(p, q)] for p, q in zip(g, g[2:])]
+    return Quaternion(*map(math.fsum, zip(*terms)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 100, 1000])
+@pytest.mark.parametrize("fn", ["exp", "series5"])
+@pytest.mark.parametrize("path", list(KERNEL_PATHS))
+def test_quadrature_equals_its_trapezoid_sum(fn, path, n):
+    # the interior stencils telescope: six samples give the O(n) sum's value
+    F, P = KERNEL_FUNCTIONS[fn], KERNEL_PATHS[path]
+    got = integrate_slice_quadrature(F, P, n).value
+    want = trapezoid_of_central_differences(F, P, n)
+    assert (got - want).norm() <= 1e-14 * max(1.0, want.norm())
+
+
+class CountingExp(AnalyticFunction):
+    """exp that counts its evaluations."""
+
+    def __init__(self):
+        self.evals = self.derivs = 0
+
+    def eval_complex(self, z):
+        self.evals += 1
+        return NamedFunction("exp").eval_complex(z)
+
+    def deriv_complex(self, z):
+        self.derivs += 1
+        return NamedFunction("exp").deriv_complex(z)
+
+    is_entire = True
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 100_000])
+def test_quadrature_reads_six_samples_and_no_derivative(n):
+    F = CountingExp()
+    integrate_slice_quadrature(F, KERNEL_PATHS["line"], n)
+    assert F.evals <= min(n + 1, 6) + 2  # the rule's samples, then the reference's two
+    assert F.derivs == 0
+
+
+def test_quadrature_memory_does_not_grow_with_n():
+    tracemalloc.start()
+    try:
+        integrate_slice_quadrature(NamedFunction("exp"), KERNEL_PATHS["line"], 10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64_000
+
+
+def test_quadrature_cannot_see_a_loop_around_a_singularity():
+    # a documented blind spot: ln around 0 along a box in the i-slice. The
+    # staircase finds the winding, 2 pi i; the telescoped quadrature reads
+    # F only near the two (equal) ends, so it returns about 0.
+    box = PolyLine(tuple(Quaternion(w, y, 0, 0)
+                         for w, y in ((1, .1), (-1, .1), (-1, -.1), (1, -.1), (1, .1))))
+    ln = KERNEL_FUNCTIONS["ln"]
+    assert integrate(ln, box, 1001).value.x1 == pytest.approx(2 * math.pi, rel=1e-4)
+    assert integrate_slice_quadrature(ln, box, 1001).value.norm() < 1e-4
 
 
 def test_staircase_fault_past_the_first_chunk_names_its_s():
@@ -265,7 +340,7 @@ def test_sum_carries_the_remainder_across_chunks():
     rows[_SUM_CHUNK] = (3 * 2.0**66, 2.0**48)
     rows[2 * _SUM_CHUNK + 2] = (-2.0**70, 2.0**50)
     rows[3 * _SUM_CHUNK] = (-3 * 2.0**66, -2.0**48)
-    got = _sum(_chunks(rows), float)
+    got = _sum([rows[i:i + _SUM_CHUNK] for i in range(0, len(rows), _SUM_CHUNK)], float)
     assert got == [math.fsum(column) for column in zip(*rows)]
 
 

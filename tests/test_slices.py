@@ -145,6 +145,14 @@ def test_perp_quotient_examples():
         pytest.approx(math.exp(3), rel=1e-12)
 
 
+def test_perp_quotient_at_subnormal_r_is_the_derivative():
+    # Im f(xi0 + r i) underflows at r = 5e-324; f is defined at xi0, so b/r = Re f'(z)
+    x = Quaternion(-1, 5e-324, 0, 0)
+    assert perp_quotient(NamedFunction("exp"), x) == math.exp(-1)
+    assert perp_quotient(Monomial(3), x) == 3.0
+    assert perp_quotient(NamedFunction("ln"), x) == math.inf  # on the cut, pi / r
+
+
 @settings(max_examples=60)
 @given(off_axis_quaternions(span=3.0, min_r=1e-6))
 def test_perp_quotient_matches_conjugate_difference(x):
