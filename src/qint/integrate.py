@@ -5,10 +5,14 @@ and a branch-tracked variant for ln on in-slice paths.
 
 import cmath
 import math
+import os
+import signal
 import statistics
+import threading
+from array import array
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
 
 from .differential import _differential
 from .errors import (DegenerateSliceError, DomainError, MissingReferenceError, QintError,
@@ -31,6 +35,11 @@ UNWRAP_SLACK = 1e-9
 # Terms per math.fsum call in _sum; bounds the memory of every sum.
 _SUM_CHUNK = 1024
 
+# Steps per block of the staircase sum, a multiple of _SUM_CHUNK. Blocks are
+# summed one by one and then folded in s order, so the value is the same
+# whichever process summed which block.
+_BLOCK = 4 * _SUM_CHUNK
+
 
 @dataclass
 class IntegrationReport:
@@ -50,14 +59,15 @@ class IntegrationReport:
         return all(err is not None and err <= EXACT_FLOOR for _, _, err in self.rows)
 
 
-def _sum(chunks: Iterable[Sequence[Sequence[float]]],
-         s_of: Callable[[int], float]) -> list[float]:
+def _fold(chunks: Iterable[Sequence[Sequence[float]]], s_of: Callable[[int], float],
+          carry: list[tuple[float, float]] | None = None) -> list[tuple[float, float]]:
     """Component-wise sum of chunks of terms, each term a row of floats:
     math.fsum (Shewchuk's correctly rounded summation) adds each column to a
     carried (total, remainder) pair, matching one fsum over all terms to about
-    2**-106 relative. A non-finite term or total raises DomainError at s_of(i),
-    i the running index of the first non-finite term (else the chunk's last)."""
-    carry, done = None, 0
+    2**-106 relative. Returns the pairs; a given carry continues an earlier
+    fold. A non-finite term or total raises DomainError at s_of(i), i the
+    running index of the first non-finite term (else the chunk's last)."""
+    done = 0
     for chunk in chunks:
         new = []
         for j, (hi, lo) in enumerate(carry or [(0.0, 0.0)] * len(chunk[0])):
@@ -74,7 +84,13 @@ def _sum(chunks: Iterable[Sequence[Sequence[float]]],
             new.append((total, math.fsum(xs)))
         carry, done = new, done + len(chunk)
         del chunk, xs  # hold one chunk at a time: free it before the next is built
-    return [hi for hi, _ in carry]
+    return carry
+
+
+def _sum(chunks: Iterable[Sequence[Sequence[float]]],
+         s_of: Callable[[int], float]) -> list[float]:
+    """The totals of _fold(chunks, s_of), one per column."""
+    return [hi for hi, _ in _fold(chunks, s_of)]
 
 
 def _located(e: OverflowError | QintError, s: float) -> QintError:
@@ -131,19 +147,19 @@ def _check_axis(x1: float, x2: float, x3: float) -> None:
 
 
 def _staircase(term: Callable[..., Sequence[float]], F: AnalyticFunction, path: Path,
-               steps: int, lag: float) -> Iterator[list[Sequence[float]]]:
-    """_sum chunks of rows term(F, x_eval, x_n - x_{n-1}), n = 1..steps, x_eval at
-    s = (n - lag) / steps, on bare floats as in _differential's signature; with
+               steps: int, lag: float, first: int, stop: int) -> Iterator[list[Sequence[float]]]:
+    """_sum chunks of rows term(F, x_eval, x_n - x_{n-1}), n = first..stop-1, x_eval
+    at s = (n - lag) / steps, on bare floats as in _differential's signature; with
     term = _differential, differential()'s terms bit for bit, and no Quaternion
     per step. A failure names the s of its evaluation point."""
     coords = path.coords
     midpoint = lag != 1.0
     inv = 1.0 / steps
-    pw, p1, p2, p3 = coords(0.0)
-    for first in range(1, steps + 1, _SUM_CHUNK):
+    pw, p1, p2, p3 = coords((first - 1) * inv)
+    for chunk_first in range(first, stop, _SUM_CHUNK):
         rows = []
         try:
-            for n in range(first, min(first + _SUM_CHUNK, steps + 1)):
+            for n in range(chunk_first, min(chunk_first + _SUM_CHUNK, stop)):
                 w, a1, a2, a3 = coords(n * inv)
                 xw, x1, x2, x3 = coords((n - lag) * inv) if midpoint else (pw, p1, p2, p3)
                 rows.append(term(F, xw, x1, x2, x3, w - pw, a1 - p1, a2 - p2, a3 - p3))
@@ -151,6 +167,106 @@ def _staircase(term: Callable[..., Sequence[float]], F: AnalyticFunction, path: 
         except (OverflowError, QintError) as e:
             raise _located(e, (n - lag) * inv)
         yield rows
+
+
+def _workers(blocks: int) -> int:
+    """Processes to share the blocks: one per CPU this process may run on,
+    where os.fork exists. One while another thread is alive, because a forked
+    copy of a threaded process can deadlock on a lock some thread held."""
+    if (not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
+            or threading.active_count() > 1):
+        return 1
+    return min(len(os.sched_getaffinity(0)), blocks)
+
+
+def _fork(work: Callable[[], list[float]]) -> tuple[int, BinaryIO] | None:
+    """Run work() in a forked child that writes its floats to a pipe as raw
+    doubles, or nothing if it fails, and exits at once. Returns (pid, the
+    pipe's read end), or None when no child can be started."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare: the caller sums the run itself
+        os.close(r)
+        os.close(w)
+        return None
+    if pid == 0:  # the child: no exception, output or exit handler of its own
+        status = 1
+        try:
+            with open(w, "wb") as pipe:
+                pipe.write(array("d", work()))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(w)  # else a later child would hold it open, and the read see no end
+    return pid, open(r, "rb")
+
+
+def _read_pairs(pipe: BinaryIO, blocks: int, width: int) -> list[list[tuple[float, float]]] | None:
+    """A child's (total, remainder) pairs, width per block, or None unless it sent them all."""
+    raw = pipe.read()
+    if len(raw) != 16 * width * blocks:
+        return None
+    flat = iter(array("d", raw))
+    pairs = list(zip(flat, flat))
+    return [pairs[k * width:(k + 1) * width] for k in range(blocks)]
+
+
+def _staircase_sum(term: Callable[..., Sequence[float]], F: AnalyticFunction, path: Path,
+                   steps: int, lag: float) -> list[float]:
+    """The component sums of _staircase(term, ...) over all steps, in fixed
+    blocks of _BLOCK steps. Each block is folded by _fold into one (total,
+    remainder) pair per component, and the pairs are folded in s order, so
+    the value depends on F, the path, steps and lag only. With one block it
+    is the sequential fold's value bit for bit.
+
+    Runs of blocks are shared between this process and forked children (see
+    _workers), which write their pairs back as raw doubles: fork shares F,
+    the path and term, so nothing is pickled. A child that fails or dies
+    sends nothing, and its blocks are summed here instead. A block that fails
+    alone, or whose pair takes the running total out of range, is re-walked
+    on top of the running pair, which is the sequential fold from there on.
+    So every failure is raised here, with the type, message and s of the
+    first fault along the path, and a fault stops and reaps every child.
+    """
+    inv = 1.0 / steps
+    firsts = range(1, steps + 1, _BLOCK)  # each block's first step
+    workers = _workers(len(firsts))
+    runs = [firsts[k * len(firsts) // workers:(k + 1) * len(firsts) // workers]
+            for k in range(workers)]
+
+    def block(first: int, carry=None) -> list[tuple[float, float]]:
+        return _fold(_staircase(term, F, path, steps, lag, first, min(first + _BLOCK, steps + 1)),
+                     lambda i: (first + i - lag) * inv, carry)
+
+    children, carry = [], None
+    try:
+        for run in runs[1:]:
+            children.append(_fork(lambda run=run: [x for first in run
+                                                   for pair in block(first) for x in pair]))
+        for run, child in zip(runs, [None, *children]):
+            sent = _read_pairs(child[1], len(run), len(carry)) if child else None
+            for k, first in enumerate(run):
+                try:
+                    pairs = sent[k] if sent else block(first)
+                    # s_of goes unused: a total out of range is re-walked below
+                    carry = pairs if carry is None else _fold([list(zip(*pairs))], float, carry)
+                    continue
+                except QintError:
+                    if carry is None:  # the first block's own fold is the sequential one
+                        raise
+                # outside the except clause, so that what it raises is the
+                # sequential fold's own error, with no other chained to it
+                carry = block(first, carry)
+    except BaseException:
+        for child in filter(None, children):
+            os.kill(child[0], signal.SIGKILL)
+        raise
+    finally:
+        for child in filter(None, children):
+            child[1].close()
+            os.waitpid(child[0], 0)
+    return [hi for hi, _ in carry]
 
 
 def _off_axis_differential(F, xw, x1, x2, x3, dw, d1, d2, d3):
@@ -168,6 +284,11 @@ def integrate(F: AnalyticFunction, path: Path, steps: int,
     (F = x, any N) at rounding noise. The sum runs through a float-level
     kernel that equals summing the differential() terms, and a failure names
     the evaluation point's s.
+
+    Steps are summed in fixed blocks of _BLOCK. Where os.fork exists, a
+    staircase of several blocks is shared out among the CPUs this process
+    may run on; the blocks are folded in s order, so the value is the same
+    on any machine, and a failure is the first one along the path.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -176,7 +297,7 @@ def integrate(F: AnalyticFunction, path: Path, steps: int,
     lag = 0.5 if rule == "midpoint" else 1.0
     inv = 1.0 / steps
     term = _differential if F.is_entire else _off_axis_differential
-    value = _sum(_staircase(term, F, path, steps, lag), lambda i: (i + 1 - lag) * inv)
+    value = _staircase_sum(term, F, path, steps, lag)
     return _single_report(steps, Quaternion(*value), _try_reference(F, path))
 
 

@@ -151,13 +151,17 @@ def perp_quotient(F: AnalyticFunction, x: Quaternion) -> float:
 
     On the real axis the quotient degenerates to the ordinary derivative
     f'(xi0), which is the r -> 0 limit of b/r; below r = 2**-511 it is read
-    as Re f'(z) wherever F is defined at xi0. An infinite r raises
-    OverflowError.
+    as Re f'(z) wherever F is defined at xi0. An infinite r or a non-finite
+    quotient (pi / r on ln's cut at subnormal r) raises OverflowError.
     """
     r = math.hypot(x.x1, x.x2, x.x3)
     if r == math.inf:
         raise OverflowError("imaginary part out of range")
     if r == 0.0:
-        return F.deriv_complex(complex(x.w, 0.0)).real
-    z = complex(x.w, r)
-    return F.eval_complex(z).imag / r if r >= _TINY_R else _tiny_r_quotient(F, z)
+        q = F.deriv_complex(complex(x.w, 0.0)).real
+    else:
+        z = complex(x.w, r)
+        q = F.eval_complex(z).imag / r if r >= _TINY_R else _tiny_r_quotient(F, z)
+    if not math.isfinite(q):
+        raise OverflowError("perpendicular quotient out of range")
+    return q

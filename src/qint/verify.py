@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, fields, replace
 from .differential import _differential, differential
 from .functions import AnalyticFunction, antiderivative
 from .errors import QintError
-from .integrate import (EXACT_FLOOR, _located, _staircase, _sum, convergence_study,
+from .integrate import (EXACT_FLOOR, _located, _staircase_sum, _sum, convergence_study,
                         endpoint_reference, integrate)
 from .paths import Line, Path
 from .quaternion import Quaternion
@@ -172,15 +172,16 @@ def by_parts_residual(F: AnalyticFunction, G: AnalyticFunction, path: Path,
 
     Both products ride the left-rule staircase kernel at the step's left node;
     order matters, F multiplies from the left in one term and G from the right
-    in the other. A failure names the s of the node at fault.
+    in the other. The sum is shared out among CPUs in the same fixed blocks as
+    integrate's, so it is the same on any machine. A failure names the s of
+    the first node at fault.
     """
     def term(F, *xd):  # F(x) dG + dF G(x) as a row; xd is x then the chord
         dF, dG = Quaternion(*_differential(F, *xd)), Quaternion(*_differential(G, *xd))
         return (Quaternion(*_lift(F.eval_complex, *xd[:4])) * dG
                 + dF * Quaternion(*_lift(G.eval_complex, *xd[:4]))).to_list()
 
-    inv = 1.0 / steps
-    total = Quaternion(*_sum(_staircase(term, F, path, steps, 1.0), lambda i: i * inv))
+    total = Quaternion(*_staircase_sum(term, F, path, steps, 1.0))
     try:  # the walk evaluated F and G at the start, not at the end
         at_end = eval_function(F, path.end) * eval_function(G, path.end)
     except (OverflowError, QintError) as e:

@@ -1,6 +1,8 @@
 import math
+import os
 
 import hypothesis.strategies as st
+import pytest
 
 from qint import Quaternion, UnitImaginary
 
@@ -53,3 +55,20 @@ PATH_SPECS = (st.builds(lambda a, b: {"kind": "line", "a": a, "b": b}, POINT_SPE
                                               "u": [0.0] + u, "turns": t},
                           SPEC_COMPONENTS, SPEC_COMPONENTS.map(abs),
                           st.lists(SPEC_COMPONENTS, min_size=3, max_size=3), SPEC_COMPONENTS))
+
+# tests of the staircase's forked workers
+FORKS = pytest.mark.skipif(not hasattr(os, "fork"), reason="the staircase forks only where os.fork exists")
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """cpus(k) makes the process see k CPUs, so a staircase of many blocks
+    shares them among up to k processes (one where os.fork is missing)."""
+    def see(k: int) -> None:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)
+    return see
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

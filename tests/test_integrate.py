@@ -1,11 +1,16 @@
+import errno
 import math
+import os
 import random
+import sys
+import threading
 import tracemalloc
 
 import pytest
 from hypothesis import given, reject, settings, strategies as st
 
-from conftest import FUNCTION_SPECS, PATH_SPECS, POINT_SPECS, assert_close, quaternions
+from conftest import (FORKS, FUNCTION_SPECS, PATH_SPECS, POINT_SPECS, assert_close,
+                      assert_no_child_left, quaternions)
 from qint import (DegenerateSliceError, DomainError, IntegrationReport, Line,
                   MissingReferenceError, Monomial, NamedFunction, PolyLine, PowerSeries,
                   QintError, Quaternion, SliceCircle, UnitImaginary, convergence_study,
@@ -13,7 +18,9 @@ from qint import (DegenerateSliceError, DomainError, IntegrationReport, Line,
                   integrate_slice_quadrature, integrate_with_branch_tracking, parse_function,
                   parse_path)
 from qint.functions import AnalyticFunction
-from qint.integrate import _SUM_CHUNK, _sum
+from qint.differential import _differential
+from qint.integrate import _BLOCK, _SUM_CHUNK, _off_axis_differential, _staircase, _sum
+from qint.suite import catalog_functions, catalog_paths
 from qint.verify import by_parts_residual, inverse_ftc_residual
 
 U_I = UnitImaginary(Quaternion(0, 1, 0, 0))
@@ -342,6 +349,133 @@ def test_sum_carries_the_remainder_across_chunks():
     rows[3 * _SUM_CHUNK] = (-3 * 2.0**66, -2.0**48)
     got = _sum([rows[i:i + _SUM_CHUNK] for i in range(0, len(rows), _SUM_CHUNK)], float)
     assert got == [math.fsum(column) for column in zip(*rows)]
+
+
+@pytest.mark.parametrize("rule", ["left", "midpoint"])
+@pytest.mark.parametrize("steps", [1000, 3 * _BLOCK + 17, 100_000])
+@pytest.mark.parametrize("line", ["line_j_step", "line_cross_slice", "line_from_zero"])
+def test_square_on_a_line_equals_its_discrete_sum(line, steps, rule, cpus):
+    # with the chord d = (b - a)/N, x d + d x = (x + d)^2 - x^2 - d^2, so the
+    # left rule sums exactly to F(b) - F(a) - N d^2 and the midpoint rule, at
+    # x + d/2, to F(b) - F(a): a step dropped or doubled anywhere shows
+    cpus(4)
+    path = catalog_paths()[line]
+    a, b = path.start, path.end
+    ref = b * b - a * a
+    if rule == "left":
+        ref = ref - (b - a) * (b - a) * (1.0 / steps)
+    got = integrate(Monomial(2), path, steps, rule=rule).value
+    assert (got - ref).norm() <= 1e-13 * max(1.0, ref.norm())
+
+
+@FORKS
+@pytest.mark.parametrize("rule", ["left", "midpoint"])
+@pytest.mark.parametrize("fn", list(catalog_functions()))
+def test_value_does_not_depend_on_the_worker_count(fn, rule, cpus):
+    F, steps = catalog_functions()[fn], 3 * _BLOCK + 17  # four blocks, the last one short
+    values = []
+    for k in (1, 2, 3, 4):
+        cpus(k)
+        values.append([integrate(F, path, steps, rule=rule).value
+                       for path in catalog_paths().values()])
+    assert values[1] == values[0] and values[2] == values[0] and values[3] == values[0]
+    assert_no_child_left()
+
+
+def sequential_fold(F, path, steps, lag):
+    """The staircase summed in one walk over all steps, as before it was cut into blocks."""
+    term = _differential if F.is_entire else _off_axis_differential
+    inv = 1.0 / steps
+    return _sum(_staircase(term, F, path, steps, lag, 1, steps + 1), lambda i: (i + 1 - lag) * inv)
+
+
+STEPS = 8 * _BLOCK + 6  # even: the left rule evaluates at s = 1/2
+HUGE = 1.7e308
+FAULTS = {
+    # a term out of range from w ~ 709.8 on, at s ~ 0.49
+    "term": (NamedFunction("exp"), Line(Quaternion(700, 1, 0, 0), Quaternion(720, 1, 0, 0))),
+    # |z| passes 1 at s ~ 0.43
+    "disk": (PowerSeries((1, 1), radius=1), Line(Quaternion(0, 0.5, 0, 0), Quaternion(2, 0.5, 0, 0))),
+    # the evaluation point s = 1/2 is on the real axis
+    "axis": (NamedFunction("reciprocal"),
+             Line(Quaternion(0.25, -0.5, 0, 0), Quaternion(0.25, 0.5, 0, 0))),
+    # every term is finite, but the running total x_n - x_0 passes the largest double at s ~ 0.53
+    "total": (Monomial(1), PolyLine((Quaternion(-HUGE, 1, 0, 0), Quaternion(0, 1, 0, 0),
+                                     Quaternion(HUGE, 1, 0, 0)))),
+    # out of the disk in segment 2 of 8, so block 2, and again in segment 6; the first is reported
+    "twice": (PowerSeries((1, 1), radius=1),
+              PolyLine(tuple(Quaternion(*p) for p in [(0, .5, 0, 0), (.3, .4, .2, 0), (0, .5, 0, 0),
+                                                        (0, 0, 1.5, 0)] * 2 + [(0, .5, 0, 0)]))),
+}
+
+
+@FORKS
+@pytest.mark.parametrize("fault,rule", [(f, r) for f in FAULTS for r in ("left", "midpoint")
+                                        if (f, r) != ("axis", "midpoint")])
+def test_fault_is_the_sequential_folds_under_any_worker_count(fault, rule, cpus):
+    F, path = FAULTS[fault]
+    lag = 1.0 if rule == "left" else 0.5
+    with pytest.raises(QintError) as want:
+        sequential_fold(F, path, STEPS, lag)
+    assert want.value.s_param > _BLOCK / STEPS  # past the first block
+    for k in (1, 4):
+        cpus(k)
+        with pytest.raises(QintError) as got:
+            integrate(F, path, STEPS, rule=rule)
+        assert type(got.value) is type(want.value)
+        assert (str(got.value), got.value.s_param) == (str(want.value), want.value.s_param)
+        assert_no_child_left()
+    if fault == "twice":
+        assert 2 / 8 < want.value.s_param < 3 / 8
+
+
+@FORKS
+def test_a_child_that_dies_before_writing_is_summed_again(cpus, monkeypatch):
+    F, path = NamedFunction("exp"), KERNEL_PATHS["circle"]
+    cpus(1)
+    want = integrate(F, path, STEPS).value
+    parent = os.getpid()
+
+    def dying(*args):
+        if os.getpid() != parent:
+            os._exit(1)
+        return _differential(*args)
+
+    monkeypatch.setattr(sys.modules["qint.integrate"], "_differential", dying)
+    cpus(4)
+    assert integrate(F, path, STEPS).value == want
+    assert_no_child_left()
+
+
+@FORKS
+def test_a_fork_that_fails_leaves_the_run_to_this_process(cpus, monkeypatch):
+    def no_fork():
+        raise BlockingIOError(errno.EAGAIN, "no process to spare")
+
+    F, path = NamedFunction("exp"), KERNEL_PATHS["circle"]
+    cpus(1)
+    want = integrate(F, path, STEPS).value
+    monkeypatch.setattr(os, "fork", no_fork)
+    cpus(4)
+    assert integrate(F, path, STEPS).value == want
+
+
+@FORKS
+def test_no_fork_while_another_thread_is_alive(cpus, monkeypatch):
+    forks = []
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1))
+    cpus(4)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        value = integrate(NamedFunction("exp"), KERNEL_PATHS["line"], STEPS).value
+    finally:
+        release.set()
+        other.join()
+    assert forks == []
+    assert value == Quaternion(*sequential_fold(NamedFunction("exp"), KERNEL_PATHS["line"],
+                                                STEPS, 1.0))
 
 
 LN = NamedFunction("ln")

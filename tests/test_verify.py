@@ -3,11 +3,15 @@ from dataclasses import replace
 
 import pytest
 
+from conftest import FORKS, assert_no_child_left
 from qint import (CheckReport, DomainError, Line, Monomial, NamedFunction,
                   PolyLine, PowerSeries, Quaternion, SliceCircle, Tolerances,
                   UnitImaginary, UnsupportedFunctionError, inverse_ftc_residual,
                   tolerances_from_env, verify_antiderivative_map, verify_ftc_forward,
                   verify_ftc_inverse, verify_integration_by_parts)
+from qint.integrate import _BLOCK
+from qint.suite import catalog_functions, catalog_paths
+from qint.verify import by_parts_residual
 
 X = Monomial(1)
 X2 = Monomial(2)
@@ -181,6 +185,34 @@ class TestByParts:
         with pytest.raises(DomainError, match="overflow") as exc:
             verify_integration_by_parts(exp, exp, boundary, 10)
         assert exc.value.s_param == 1.0
+
+    @FORKS
+    def test_residual_does_not_depend_on_the_worker_count(self, cpus):
+        fns, steps = catalog_functions(), 3 * _BLOCK + 17  # four blocks, the last one short
+        pairs = [(fns["x^2"], fns["x"]), (fns["exp"], fns["sin"])]
+        paths = [catalog_paths()[name] for name in ("polyline_bent", "circle_real_center")]
+        got = []
+        for k in (1, 2, 3, 4):
+            cpus(k)
+            got.append([by_parts_residual(F, G, path, steps) for F, G in pairs for path in paths])
+        assert got[1] == got[0] and got[2] == got[0] and got[3] == got[0]
+        assert_no_child_left()
+
+    @FORKS
+    def test_overflow_names_the_same_node_under_any_worker_count(self, cpus):
+        # every value is finite; exp(w) exp(w) overflows from the node w ~ 354.9
+        # on, at s ~ 0.6, in block 4 of 8, which one child of four sums
+        exp, steps = NamedFunction("exp"), 8 * _BLOCK
+        far = Line(Quaternion(340, 1, 0, 0), Quaternion(365, 1, 0, 0))
+        errors = []
+        for k in (1, 4):
+            cpus(k)
+            with pytest.raises(DomainError, match="overflow") as exc:
+                by_parts_residual(exp, exp, far, steps)
+            errors.append((str(exc.value), exc.value.s_param))
+            assert_no_child_left()
+        assert errors[1] == errors[0]
+        assert 4 / 8 < errors[0][1] < 5 / 8
 
 
 class TestAntiderivativeMap:
