@@ -132,8 +132,9 @@ def cmd_diff(args) -> int:
 def cmd_integrate(args) -> int:
     F = _load_function(args.fn)
     path = _load_path(args.path)
-    if args.study and args.branch_track:
-        print("qint integrate: error: --study and --branch-track cannot be combined",
+    if args.branch_track and (args.study or args.rule != "left"):
+        other = "--study" if args.study else "--rule " + args.rule
+        print(f"qint integrate: error: {other} and --branch-track cannot be combined",
               file=sys.stderr)
         return 1
     if args.branch_track:
@@ -196,7 +197,8 @@ def build_parser() -> _Parser:
     pi.add_argument("--study", default=None,
                     help="comma-separated ascending step counts for a convergence study")
     pi.add_argument("--branch-track", action="store_true",
-                    help="continuous-branch integration of ln along an in-slice path")
+                    help="continuous-branch integration of ln along an in-slice path"
+                         " (left rule only)")
     pi.add_argument("--out", default=None,
                     help="write the report: .json for JSON, anything else CSV")
     pi.set_defaults(func=cmd_integrate)

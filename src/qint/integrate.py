@@ -3,7 +3,6 @@ an ordinary ds-quadrature of dF(x(s))/ds used as an independent cross-check,
 and a branch-tracked variant for ln on in-slice paths.
 """
 
-import cmath
 import math
 import os
 import signal
@@ -214,20 +213,21 @@ def _read_pairs(pipe: BinaryIO, blocks: int, width: int) -> list[list[tuple[floa
 
 def _staircase_sum(term: Callable[..., Sequence[float]], F: AnalyticFunction, path: Path,
                    steps: int, lag: float) -> list[float]:
-    """The component sums of _staircase(term, ...) over all steps, in fixed
-    blocks of _BLOCK steps. Each block is folded by _fold into one (total,
-    remainder) pair per component, and the pairs are folded in s order, so
-    the value depends on F, the path, steps and lag only. With one block it
-    is the sequential fold's value bit for bit.
+    """The column sums of _staircase(term, ...) over all steps: the one
+    staircase sum behind integrate, branch tracking and by-parts. The steps
+    are cut into fixed blocks of _BLOCK; each block is folded by _fold into
+    one (total, remainder) pair per column, and the pairs are folded in s
+    order, so the value depends on term, F, the path, steps and lag only.
+    With one block it is the sequential fold's value bit for bit.
 
     Runs of blocks are shared between this process and forked children (see
     _workers), which write their pairs back as raw doubles: fork shares F,
     the path and term, so nothing is pickled. A child that fails or dies
-    sends nothing, and its blocks are summed here instead. A block that fails
-    alone, or whose pair takes the running total out of range, is re-walked
-    on top of the running pair, which is the sequential fold from there on.
-    So every failure is raised here, with the type, message and s of the
-    first fault along the path, and a fault stops and reaps every child.
+    sends nothing, and its blocks are summed here instead. Any fault in the
+    blocked fold stops and reaps every child, and all steps are then summed
+    again in one sequential fold, which raises that fold's own error: the
+    type, message and s of the first fault along the path. (Where only a
+    block's own partial total left range, that fold gives the value.)
     """
     inv = 1.0 / steps
     firsts = range(1, steps + 1, _BLOCK)  # each block's first step
@@ -235,9 +235,9 @@ def _staircase_sum(term: Callable[..., Sequence[float]], F: AnalyticFunction, pa
     runs = [firsts[k * len(firsts) // workers:(k + 1) * len(firsts) // workers]
             for k in range(workers)]
 
-    def block(first: int, carry=None) -> list[tuple[float, float]]:
+    def block(first: int) -> list[tuple[float, float]]:
         return _fold(_staircase(term, F, path, steps, lag, first, min(first + _BLOCK, steps + 1)),
-                     lambda i: (first + i - lag) * inv, carry)
+                     lambda i: (first + i - lag) * inv)
 
     children, carry = [], None
     try:
@@ -247,25 +247,19 @@ def _staircase_sum(term: Callable[..., Sequence[float]], F: AnalyticFunction, pa
         for run, child in zip(runs, [None, *children]):
             sent = _read_pairs(child[1], len(run), len(carry)) if child else None
             for k, first in enumerate(run):
-                try:
-                    pairs = sent[k] if sent else block(first)
-                    # s_of goes unused: a total out of range is re-walked below
-                    carry = pairs if carry is None else _fold([list(zip(*pairs))], float, carry)
-                    continue
-                except QintError:
-                    if carry is None:  # the first block's own fold is the sequential one
-                        raise
-                # outside the except clause, so that what it raises is the
-                # sequential fold's own error, with no other chained to it
-                carry = block(first, carry)
-    except BaseException:
-        for child in filter(None, children):
-            os.kill(child[0], signal.SIGKILL)
-        raise
+                pairs = sent[k] if sent else block(first)
+                # s_of goes unused: a total out of range is summed again below
+                carry = pairs if carry is None else _fold([list(zip(*pairs))], float, carry)
+    except QintError:
+        carry = None
     finally:
         for child in filter(None, children):
+            os.kill(child[0], signal.SIGKILL)  # no effect on a child that has finished
             child[1].close()
             os.waitpid(child[0], 0)
+    if carry is None:  # outside the except clause, so no other error is chained to its own
+        return _sum(_staircase(term, F, path, steps, lag, 1, steps + 1),
+                    lambda i: (i + 1 - lag) * inv)
     return [hi for hi, _ in carry]
 
 
@@ -295,7 +289,6 @@ def integrate(F: AnalyticFunction, path: Path, steps: int,
     if rule not in ("left", "midpoint"):
         raise ValueError(f"unknown rule {rule!r}; expected 'left' or 'midpoint'")
     lag = 0.5 if rule == "midpoint" else 1.0
-    inv = 1.0 / steps
     term = _differential if F.is_entire else _off_axis_differential
     value = _staircase_sum(term, F, path, steps, lag)
     return _single_report(steps, Quaternion(*value), _try_reference(F, path))
@@ -377,11 +370,15 @@ def integrate_with_branch_tracking(F: AnalyticFunction, path: Path,
     """Staircase integral of ln along a path confined to one slice plane.
 
     Works in the fixed slice coordinates z(s) = xi0(s) + i*y(s), where y is
-    the signed component along the first off-axis direction found. The value
-    is the left-endpoint sum of (z_{n+1} - z_n)/z_n, which is branch-free;
-    the reference is the continuously unwrapped ln difference, so a loop
-    winding m times around 0 reports 2*pi*m*u. One streaming pass in path
-    order, so the first fault along the path is the one reported.
+    the signed component along the first off-axis direction u found. The
+    value is the left-rule staircase of t = (z_n - z_{n-1})/z_{n-1}, which is
+    branch-free; the reference is the continuously unwrapped ln difference,
+    log|z_N| - log|z_0| plus the sum of the per-step phases arg(1 + t), so a
+    loop winding m times around 0 reports 2*pi*m*u. Both ride _staircase_sum
+    as the columns of one row per step, so they are shared out among CPUs
+    like integrate's sum, and a fault is the first one along the path, named
+    by its step's left end: a point off the slice plane, the point 0, or a
+    phase step beyond pi/2.
     """
     if not (isinstance(F, NamedFunction) and F.name == "ln"):
         raise UnsupportedFunctionError("branch tracking is implemented for ln only")
@@ -397,11 +394,13 @@ def integrate_with_branch_tracking(F: AnalyticFunction, path: Path,
             u = UnitImaginary(Quaternion(0.0, x1, x2, x3)).value.to_list()[1:]
             break
 
-    def slice_z(k: int) -> complex:
-        w, x1, x2, x3 = coords(k * h)
-        y = x1 * u[0] + x2 * u[1] + x3 * u[2]
-        rej = math.hypot(x1 - y * u[0], x2 - y * u[1], x3 - y * u[2])
-        if rej > SLICE_REJECTION_TOL * max(1.0, math.hypot(w, x1, x2, x3)):
+    u1, u2, u3 = u
+
+    def slice_z(w: float, x1: float, x2: float, x3: float) -> complex:
+        y = x1 * u1 + x2 * u2 + x3 * u3
+        rej = math.hypot(x1 - y * u1, x2 - y * u2, x3 - y * u3)
+        # rej > SLICE_REJECTION_TOL * max(1, |x|), with |x| taken only when needed
+        if rej > SLICE_REJECTION_TOL and rej > SLICE_REJECTION_TOL * math.hypot(w, x1, x2, x3):
             raise SliceEscapeError(
                 f"point leaves the slice plane (off-plane magnitude {rej:.3e})")
         z = complex(w, y)
@@ -409,34 +408,24 @@ def integrate_with_branch_tracking(F: AnalyticFunction, path: Path,
             raise DomainError("path passes through 0, where ln is singular")
         return z
 
+    def term(F, w, x1, x2, x3, dw, d1, d2, d3) -> tuple[float, float, float]:
+        t = complex(dw, d1 * u1 + d2 * u2 + d3 * u3) / slice_z(w, x1, x2, x3)
+        step = math.atan2(t.imag, 1.0 + t.real)  # arg(1 + t) = arg(z_n / z_{n-1})
+        if abs(step) > 0.5 * math.pi + UNWRAP_SLACK:
+            raise StepTooCoarseError(
+                f"phase jump {abs(step):.3f} rad exceeds pi/2; increase steps")
+        return t.real, t.imag, step
+
     def to_quaternion(re: float, im: float) -> Quaternion:
-        return Quaternion(re, im * u[0], im * u[1], im * u[2])
+        return Quaternion(re, im * u1, im * u2, im * u3)
 
-    reference = []  # the unwrapped ln difference, set once the pass reaches s = 1
-
-    def chunks() -> Iterator[list[tuple[float, float]]]:
-        k = 0
-        try:
-            z_first = z_prev = slice_z(0)
-            phase = total_phase = cmath.phase(z_first)
-            log_first = math.log(abs(z_first))
-            for first in range(1, steps + 1, _SUM_CHUNK):
-                rows = []
-                for k in range(first, min(first + _SUM_CHUNK, steps + 1)):
-                    z = slice_z(k)
-                    step = math.remainder(cmath.phase(z) - total_phase, math.tau)
-                    if abs(step) > 0.5 * math.pi + UNWRAP_SLACK:
-                        raise StepTooCoarseError(
-                            f"phase jump {abs(step):.3f} rad exceeds pi/2; increase steps")
-                    total_phase += step
-                    t = (z - z_prev) / z_prev
-                    rows.append((t.real, t.imag))
-                    z_prev = z
-                yield rows
-            reference.append(to_quaternion(math.log(abs(z_prev)) - log_first,
-                                           total_phase - phase))
-        except (OverflowError, QintError) as e:
-            raise _located(e, k * h)
-
-    re, im = _sum(chunks(), lambda i: i * h)  # term i spans [i h, (i + 1) h]
-    return _single_report(steps, to_quaternion(re, im), reference[0])
+    try:
+        log_first = math.log(abs(slice_z(*coords(0.0))))
+    except (OverflowError, QintError) as e:
+        raise _located(e, 0.0)
+    re, im, phase = _staircase_sum(term, F, path, steps, 1.0)
+    try:
+        log_last = math.log(abs(slice_z(*coords(steps * h))))
+    except (OverflowError, QintError) as e:
+        raise _located(e, steps * h)
+    return _single_report(steps, to_quaternion(re, im), to_quaternion(log_last - log_first, phase))

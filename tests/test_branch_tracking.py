@@ -3,11 +3,12 @@ import tracemalloc
 
 import pytest
 
-from conftest import assert_close
+from conftest import FORKS, assert_close, assert_no_child_left
 from qint import (DomainError, Line, Monomial, NamedFunction, PolyLine,
                   Quaternion, SliceCircle, SliceEscapeError, StepTooCoarseError,
                   UnitImaginary, UnsupportedFunctionError,
                   integrate_with_branch_tracking)
+from qint.integrate import _BLOCK
 
 LN = NamedFunction("ln")
 U_I = UnitImaginary(Quaternion(0, 1, 0, 0))
@@ -107,12 +108,13 @@ def test_quarter_steps_are_accepted():
 
 
 def test_first_fault_along_the_path_is_reported():
-    # a phase jump of ~pi at s = 0.5, then a slice escape at s = 1
+    # a phase jump of ~pi on the step [0, 0.5], named by its left end, then a
+    # slice escape at s = 1
     path = PolyLine((Quaternion(1, 0.1, 0, 0), Quaternion(-1, 0.1, 0, 0),
                      Quaternion(-1, 0, 1, 0)))
     with pytest.raises(StepTooCoarseError) as exc:
         integrate_with_branch_tracking(LN, path, 2)
-    assert exc.value.s_param == pytest.approx(0.5)
+    assert exc.value.s_param == 0.0
 
 
 def test_only_ln_is_supported():
@@ -149,3 +151,67 @@ def test_memory_stays_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+U_SLICES = {"i": U_I, "jk": U_JK, "ijk": UnitImaginary(Quaternion(0, 1, 1, 1))}
+
+
+@pytest.mark.parametrize("steps", [1000, 3 * _BLOCK + 17, 100_000])
+@pytest.mark.parametrize("u", list(U_SLICES))
+@pytest.mark.parametrize("turns", [-1, 1, 2])
+def test_circle_equals_its_discrete_sum(turns, u, steps, cpus):
+    # on the unit circle every term (z_k - z_{k-1}) / z_{k-1} is e^{i th} - 1,
+    # th = 2 pi m / N, so the value is N (e^{i th} - 1) u: a step dropped or
+    # doubled anywhere, a block boundary included, shows
+    unit = U_SLICES[u]
+    th = 2 * math.pi * turns / steps
+    re, im = -2 * steps * math.sin(th / 2) ** 2, steps * math.sin(th)  # no cancellation
+    ref = Quaternion(re, im * unit.x1, im * unit.x2, im * unit.x3)
+    for k in (1, 4):
+        cpus(k)
+        got = integrate_with_branch_tracking(LN, SliceCircle(0.0, 1.0, unit, float(turns)), steps)
+        assert (got.value - ref).norm() <= 1e-11 * ref.norm()
+
+
+BRANCH_STEPS = 8 * _BLOCK + 6  # even: a line through 0 has a point at s = 1/2
+
+
+@FORKS
+def test_value_does_not_depend_on_the_worker_count(cpus):
+    paths = [SliceCircle(0.0, 1.0, unit, 1.5) for unit in U_SLICES.values()]
+    paths.append(Line(Quaternion(-1, 1, 0, 0), Quaternion(-1, -1, 0, 0)))
+    reports = []
+    for k in (1, 2, 3, 4):
+        cpus(k)
+        reports.append([integrate_with_branch_tracking(LN, path, 3 * _BLOCK + 17)
+                        for path in paths])
+    for got in reports[1:]:
+        assert ([(r.value, r.reference) for r in got]
+                == [(r.value, r.reference) for r in reports[0]])
+    assert_no_child_left()
+
+
+BRANCH_FAULTS = {
+    # the second segment turns out of the i-slice at s = 1/2
+    "slice": (SliceEscapeError, PolyLine((Quaternion(1, 0.5, 0, 0), Quaternion(2, 0.5, 0, 0),
+                                          Quaternion(2, 0.5, 1, 0)))),
+    # the second segment passes 1e-9 above 0, so one step turns by about pi
+    "coarse": (StepTooCoarseError, PolyLine((Quaternion(2, 1, 0, 0), Quaternion(1, 1e-9, 0, 0),
+                                             Quaternion(-1, 1e-9, 0, 0)))),
+    "zero": (DomainError, Line(Quaternion(0, -1, 0, 0), Quaternion(0, 1, 0, 0))),
+}
+
+
+@FORKS
+@pytest.mark.parametrize("fault", list(BRANCH_FAULTS))
+def test_fault_does_not_depend_on_the_worker_count(fault, cpus):
+    kind, path = BRANCH_FAULTS[fault]
+    errors = []
+    for k in (1, 4):
+        cpus(k)
+        with pytest.raises(kind) as exc:
+            integrate_with_branch_tracking(LN, path, BRANCH_STEPS)
+        errors.append((type(exc.value), str(exc.value), exc.value.s_param))
+        assert_no_child_left()
+    assert errors[1] == errors[0]
+    assert errors[0][2] > _BLOCK / BRANCH_STEPS  # past the first block

@@ -104,6 +104,11 @@ def test_non_finite_json_numbers_exit_1(argv, capsys):
     # a study needs the end value exp(710), which overflows at s = 1
     ["integrate", "--fn", "exp", "--study", "1,2,4", "--path",
      '{"kind": "line", "a": [0, 1, 0, 0], "b": [710, 1, 0, 0]}'],
+    # |z| of a branch-tracked end point is past the largest double
+    ["integrate", "--fn", "ln", "--steps", "10", "--branch-track", "--path",
+     '{"kind": "line", "a": [1.7e308, 1.7e308, 0, 0], "b": [1, 1, 0, 0]}'],
+    ["integrate", "--fn", "ln", "--steps", "10", "--branch-track", "--path",
+     '{"kind": "line", "a": [1, 1, 0, 0], "b": [1.7e308, 1.7e308, 0, 0]}'],
 ])
 def test_overflow_is_a_domain_error(argv, capsys):
     assert main(argv) == 2
@@ -111,6 +116,8 @@ def test_overflow_is_a_domain_error(argv, capsys):
     assert len(err) == 1 and "domain error" in err[0] and "overflow" in err[0]
     if argv[0] == "integrate":
         assert "(at s=" in err[0]
+    if "--branch-track" in argv and "1.7e308" in argv[-1]:  # the end point past range
+        assert ("(at s=0)" if '"a": [1.7e308' in argv[-1] else "(at s=1)") in err[0]
 
 
 @pytest.mark.parametrize("argv", [
@@ -250,10 +257,11 @@ def test_branch_tracked_winding(capsys):
 
 
 def test_study_and_branch_track_conflict(capsys):
-    rc = main(["integrate", "--fn", "ln", "--path", UNIT_CIRCLE,
-               "--study", "100,200,400", "--branch-track"])
-    assert rc == 1
-    assert "cannot be combined" in capsys.readouterr().err
+    # branch tracking sums by the left rule only
+    for other in (["--study", "100,200,400"], ["--rule", "midpoint"]):
+        rc = main(["integrate", "--fn", "ln", "--path", UNIT_CIRCLE, *other, "--branch-track"])
+        assert rc == 1
+        assert "cannot be combined" in capsys.readouterr().err
 
 
 def test_bad_study_list(capsys):
