@@ -10,8 +10,7 @@ import statistics
 import threading
 from array import array
 from dataclasses import dataclass, field
-from operator import itemgetter
-from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
+from typing import BinaryIO, Callable, Iterator, Sequence
 
 from .differential import _differential
 from .errors import (DegenerateSliceError, DomainError, MissingReferenceError, QintError,
@@ -31,13 +30,10 @@ SLICE_REJECTION_TOL = 1e-9
 # Unwrapping slack: per-step phase change may exceed pi/2 by rounding only.
 UNWRAP_SLACK = 1e-9
 
-# Terms per math.fsum call in _sum; bounds the memory of every sum.
+# Steps per chunk, and terms per math.fsum call: bounds the memory of every
+# sum. Chunks are summed one by one and then added in s order, so the
+# staircase's value is the same whichever process summed which chunk.
 _SUM_CHUNK = 1024
-
-# Steps per block of the staircase sum, a multiple of _SUM_CHUNK. Blocks are
-# summed one by one and then folded in s order, so the value is the same
-# whichever process summed which block.
-_BLOCK = 4 * _SUM_CHUNK
 
 
 @dataclass
@@ -58,38 +54,38 @@ class IntegrationReport:
         return all(err is not None and err <= EXACT_FLOOR for _, _, err in self.rows)
 
 
-def _fold(chunks: Iterable[Sequence[Sequence[float]]], s_of: Callable[[int], float],
-          carry: list[tuple[float, float]] | None = None) -> list[tuple[float, float]]:
-    """Component-wise sum of chunks of terms, each term a row of floats:
-    math.fsum (Shewchuk's correctly rounded summation) adds each column to a
-    carried (total, remainder) pair, matching one fsum over all terms to about
-    2**-106 relative. Returns the pairs; a given carry continues an earlier
-    fold. A non-finite term or total raises DomainError at s_of(i), i the
-    running index of the first non-finite term (else the chunk's last)."""
-    done = 0
-    for chunk in chunks:
-        new = []
-        for j, (hi, lo) in enumerate(carry or [(0.0, 0.0)] * len(chunk[0])):
-            xs = [hi, lo, *map(itemgetter(j), chunk)]  # column j of the chunk
-            try:
-                total = math.fsum(xs)
-                if not math.isfinite(total):
-                    raise OverflowError("sum out of range")
-            except (ValueError, OverflowError) as e:  # inf - inf, or past the largest double
-                i = next((i for i, row in enumerate(chunk) if not all(map(math.isfinite, row))),
-                         len(chunk) - 1)
-                raise DomainError(f"overflow ({e})", s_param=s_of(done + i)) from e
-            xs.append(-total)
-            new.append((total, math.fsum(xs)))
-        carry, done = new, done + len(chunk)
-        del chunk, xs  # hold one chunk at a time: free it before the next is built
-    return carry
+def _pairs(chunk: Sequence[Sequence[float]],
+           s_of: Callable[[int], float]) -> list[tuple[float, float]]:
+    """Column-wise sums of a chunk of terms, each term a row of floats: per
+    column, math.fsum (Shewchuk's correctly rounded summation) and the
+    remainder its rounding dropped, as a (total, remainder) pair. A non-finite
+    term or total raises DomainError at s_of(i), i the index of the first
+    non-finite term (else the chunk's last)."""
+    pairs = []
+    for xs in zip(*chunk):
+        try:
+            total = math.fsum(xs)
+            if not math.isfinite(total):
+                raise OverflowError("sum out of range")
+        except (ValueError, OverflowError) as e:  # inf - inf, or past the largest double
+            i = next((i for i, row in enumerate(chunk) if not all(map(math.isfinite, row))),
+                     len(chunk) - 1)
+            raise DomainError(f"overflow ({e})", s_param=s_of(i)) from e
+        pairs.append((total, math.fsum([*xs, -total])))
+    return pairs
 
 
-def _sum(chunks: Iterable[Sequence[Sequence[float]]],
-         s_of: Callable[[int], float]) -> list[float]:
-    """The totals of _fold(chunks, s_of), one per column."""
-    return [hi for hi, _ in _fold(chunks, s_of)]
+def _add(carry: list[tuple[float, float]], pairs: list[tuple[float, float]],
+         s: float) -> list[tuple[float, float]]:
+    """The running (total, remainder) pairs with a chunk's pairs added: the
+    _pairs of their four rows, matching one fsum over all terms to about
+    2**-106 relative. A total out of range raises DomainError at s."""
+    return _pairs([*zip(*carry), *zip(*pairs)], lambda i: s)
+
+
+def _sum(rows: Sequence[Sequence[float]], s_of: Callable[[int], float]) -> list[float]:
+    """The totals of _pairs(rows, s_of), one per column."""
+    return [hi for hi, _ in _pairs(rows, s_of)]
 
 
 def _located(e: OverflowError | QintError, s: float) -> QintError:
@@ -146,36 +142,36 @@ def _check_axis(x1: float, x2: float, x3: float) -> None:
 
 
 def _staircase(term: Callable[..., Sequence[float]], F: AnalyticFunction, path: Path,
-               steps: int, lag: float, first: int, stop: int) -> Iterator[list[Sequence[float]]]:
-    """_sum chunks of rows term(F, x_eval, x_n - x_{n-1}), n = first..stop-1, x_eval
-    at s = (n - lag) / steps, on bare floats as in _differential's signature; with
-    term = _differential, differential()'s terms bit for bit, and no Quaternion
-    per step. A failure names the s of its evaluation point."""
+               steps: int, lag: float, first: int) -> list[Sequence[float]]:
+    """One chunk of rows term(F, x_eval, x_n - x_{n-1}), n = first, ...,
+    min(first + _SUM_CHUNK - 1, steps), x_eval at s = (n - lag) / steps, on bare
+    floats as in _differential's signature; with term = _differential,
+    differential()'s terms bit for bit, and no Quaternion per step. A failure
+    names the s of its evaluation point."""
     coords = path.coords
     midpoint = lag != 1.0
     inv = 1.0 / steps
-    pw, p1, p2, p3 = coords((first - 1) * inv)
-    for chunk_first in range(first, stop, _SUM_CHUNK):
-        rows = []
-        try:
-            for n in range(chunk_first, min(chunk_first + _SUM_CHUNK, stop)):
-                w, a1, a2, a3 = coords(n * inv)
-                xw, x1, x2, x3 = coords((n - lag) * inv) if midpoint else (pw, p1, p2, p3)
-                rows.append(term(F, xw, x1, x2, x3, w - pw, a1 - p1, a2 - p2, a3 - p3))
-                pw, p1, p2, p3 = w, a1, a2, a3
-        except (OverflowError, QintError) as e:
-            raise _located(e, (n - lag) * inv)
-        yield rows
+    pw, p1, p2, p3 = coords((first - 1) * inv)  # the float the previous step ended on
+    rows = []
+    try:
+        for n in range(first, min(first + _SUM_CHUNK, steps + 1)):
+            w, a1, a2, a3 = coords(n * inv)
+            xw, x1, x2, x3 = coords((n - lag) * inv) if midpoint else (pw, p1, p2, p3)
+            rows.append(term(F, xw, x1, x2, x3, w - pw, a1 - p1, a2 - p2, a3 - p3))
+            pw, p1, p2, p3 = w, a1, a2, a3
+    except (OverflowError, QintError) as e:
+        raise _located(e, (n - lag) * inv)
+    return rows
 
 
-def _workers(blocks: int) -> int:
-    """Processes to share the blocks: one per CPU this process may run on,
+def _workers(chunks: int) -> int:
+    """Processes to share the chunks: one per CPU this process may run on,
     where os.fork exists. One while another thread is alive, because a forked
     copy of a threaded process can deadlock on a lock some thread held."""
     if (not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
             or threading.active_count() > 1):
         return 1
-    return min(len(os.sched_getaffinity(0)), blocks)
+    return min(len(os.sched_getaffinity(0)), chunks)
 
 
 def _fork(work: Callable[[], list[float]]) -> tuple[int, BinaryIO] | None:
@@ -201,66 +197,60 @@ def _fork(work: Callable[[], list[float]]) -> tuple[int, BinaryIO] | None:
     return pid, open(r, "rb")
 
 
-def _read_pairs(pipe: BinaryIO, blocks: int, width: int) -> list[list[tuple[float, float]]] | None:
-    """A child's (total, remainder) pairs, width per block, or None unless it sent them all."""
+def _read_pairs(pipe: BinaryIO, chunks: int, width: int) -> Iterator[list[tuple[float, float]]]:
+    """A child's (total, remainder) pairs, width per chunk, one chunk at a
+    time; nothing unless it sent them all."""
     raw = pipe.read()
-    if len(raw) != 16 * width * blocks:
-        return None
-    flat = iter(array("d", raw))
-    pairs = list(zip(flat, flat))
-    return [pairs[k * width:(k + 1) * width] for k in range(blocks)]
+    if len(raw) == 16 * width * chunks:
+        flat = array("d", raw)
+        for k in range(0, len(flat), 2 * width):
+            yield list(zip(flat[k:k + 2 * width:2], flat[k + 1:k + 2 * width:2]))
 
 
 def _staircase_sum(term: Callable[..., Sequence[float]], F: AnalyticFunction, path: Path,
                    steps: int, lag: float) -> list[float]:
     """The column sums of _staircase(term, ...) over all steps: the one
-    staircase sum behind integrate, branch tracking and by-parts. The steps
-    are cut into fixed blocks of _BLOCK; each block is folded by _fold into
-    one (total, remainder) pair per column, and the pairs are folded in s
-    order, so the value depends on term, F, the path, steps and lag only.
-    With one block it is the sequential fold's value bit for bit.
+    staircase sum behind integrate, branch tracking and by-parts. Each chunk
+    of _SUM_CHUNK steps is summed by _pairs, and the chunks' pairs are added
+    by _add in s order, so the value depends on term, F, the path, steps and
+    lag only. With one chunk it is _pairs' value bit for bit.
 
-    Runs of blocks are shared between this process and forked children (see
+    Runs of chunks are shared between this process and forked children (see
     _workers), which write their pairs back as raw doubles: fork shares F,
-    the path and term, so nothing is pickled. A child that fails or dies
-    sends nothing, and its blocks are summed here instead. Any fault in the
-    blocked fold stops and reaps every child, and all steps are then summed
-    again in one sequential fold, which raises that fold's own error: the
-    type, message and s of the first fault along the path. (Where only a
-    block's own partial total left range, that fold gives the value.)
+    the path and term, so nothing is pickled. This process sums its own run,
+    then adds every child's pairs in turn, and sums a chunk itself wherever
+    a child sent nothing: one that failed, died or could not be forked. So a
+    fault is always raised here, by the first chunk along the path that has
+    one, with the fold's own type, message and s; a total out of range is
+    named by its chunk's last s. Every child is stopped and reaped on exit.
     """
     inv = 1.0 / steps
-    firsts = range(1, steps + 1, _BLOCK)  # each block's first step
+    firsts = range(1, steps + 1, _SUM_CHUNK)  # each chunk's first step
     workers = _workers(len(firsts))
     runs = [firsts[k * len(firsts) // workers:(k + 1) * len(firsts) // workers]
             for k in range(workers)]
 
-    def block(first: int) -> list[tuple[float, float]]:
-        return _fold(_staircase(term, F, path, steps, lag, first, min(first + _BLOCK, steps + 1)),
-                     lambda i: (first + i - lag) * inv)
+    def chunk(first: int) -> list[tuple[float, float]]:
+        return _pairs(_staircase(term, F, path, steps, lag, first),
+                      lambda i: (first + i - lag) * inv)
 
-    children, carry = [], None
+    children, total = [], None
     try:
         for run in runs[1:]:
             children.append(_fork(lambda run=run: [x for first in run
-                                                   for pair in block(first) for x in pair]))
+                                                   for pair in chunk(first) for x in pair]))
         for run, child in zip(runs, [None, *children]):
-            sent = _read_pairs(child[1], len(run), len(carry)) if child else None
-            for k, first in enumerate(run):
-                pairs = sent[k] if sent else block(first)
-                # s_of goes unused: a total out of range is summed again below
-                carry = pairs if carry is None else _fold([list(zip(*pairs))], float, carry)
-    except QintError:
-        carry = None
+            sent = _read_pairs(child[1], len(run), len(total)) if child else iter(())
+            for first in run:
+                pairs = next(sent, None) or chunk(first)
+                last = min(first + _SUM_CHUNK, steps + 1) - 1  # the chunk's last step
+                total = pairs if total is None else _add(total, pairs, (last - lag) * inv)
     finally:
         for child in filter(None, children):
             os.kill(child[0], signal.SIGKILL)  # no effect on a child that has finished
             child[1].close()
             os.waitpid(child[0], 0)
-    if carry is None:  # outside the except clause, so no other error is chained to its own
-        return _sum(_staircase(term, F, path, steps, lag, 1, steps + 1),
-                    lambda i: (i + 1 - lag) * inv)
-    return [hi for hi, _ in carry]
+    return [hi for hi, _ in total]
 
 
 def _off_axis_differential(F, xw, x1, x2, x3, dw, d1, d2, d3):
@@ -279,10 +269,10 @@ def integrate(F: AnalyticFunction, path: Path, steps: int,
     kernel that equals summing the differential() terms, and a failure names
     the evaluation point's s.
 
-    Steps are summed in fixed blocks of _BLOCK. Where os.fork exists, a
-    staircase of several blocks is shared out among the CPUs this process
-    may run on; the blocks are folded in s order, so the value is the same
-    on any machine, and a failure is the first one along the path.
+    Steps are summed in chunks of _SUM_CHUNK. Where os.fork exists, a
+    staircase of several chunks is shared out among the CPUs this process
+    may run on; the chunk sums are added in s order, so the value is the
+    same on any machine, and a failure is the first one along the path.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -334,7 +324,7 @@ def integrate_slice_quadrature(F: AnalyticFunction, path: Path, steps: int) -> I
                 [0.5 * c for c in g[-1]],
                 [0.5 * (3.0 * a - 4.0 * b + c) * 0.5 for c, b, a in zip(*g[-3:])]]
         at = [0.0, 0.0, h, (steps - 1) * h, 1.0, 1.0]  # each row's sample s
-    value = Quaternion(*_sum([rows], lambda i: at[i]))
+    value = Quaternion(*_sum(rows, lambda i: at[i]))
     return _single_report(steps, value, _try_reference(F, path))
 
 

@@ -14,7 +14,7 @@ from .errors import QintError
 from .integrate import (EXACT_FLOOR, _located, _staircase_sum, _sum, convergence_study,
                         endpoint_reference, integrate)
 from .paths import Line, Path
-from .quaternion import Quaternion
+from .quaternion import Quaternion, _finite
 from .slices import _lift, decompose_delta, eval_function
 
 # Default base point for the indefinite integral in the inverse direction.
@@ -61,7 +61,8 @@ def tolerances_from_env(env=None) -> Tolerances:
     """Default tolerances, with QINT_TOL applied if set.
 
     Accepts either a bare number ("1e-6") or a JSON object naming fields
-    ('{"by_parts": 1e-4}'). Raises ValueError on anything else.
+    ('{"by_parts": 1e-4}'). Raises ValueError on anything else, a NaN or an
+    infinity included.
     """
     if env is None:
         env = os.environ
@@ -72,19 +73,16 @@ def tolerances_from_env(env=None) -> Tolerances:
         obj = json.loads(raw)
     except json.JSONDecodeError as e:
         raise ValueError(f"QINT_TOL is not valid JSON: {e}") from e
-    if isinstance(obj, bool):
-        raise ValueError("QINT_TOL must be a number or an object, not a boolean")
-    if isinstance(obj, (int, float)):
-        return Tolerances(**{name: float(obj) for name in _RESIDUAL_FIELDS})
+    if isinstance(obj, (int, float)):  # a boolean too, which _finite rejects
+        bound = _finite(obj, "QINT_TOL")
+        return Tolerances(**{name: bound for name in _RESIDUAL_FIELDS})
     if isinstance(obj, dict):
         known = {f.name for f in fields(Tolerances)}
         unknown = set(obj) - known
         if unknown:
             raise ValueError(f"QINT_TOL names unknown fields: {sorted(unknown)}")
-        bad = [k for k, v in obj.items() if isinstance(v, bool) or not isinstance(v, (int, float))]
-        if bad:
-            raise ValueError(f"QINT_TOL fields must be numbers: {sorted(bad)}")
-        return replace(Tolerances(), **{k: float(v) for k, v in obj.items()})
+        return replace(Tolerances(), **{k: _finite(v, f"QINT_TOL field {k!r}")
+                                        for k, v in obj.items()})
     raise ValueError("QINT_TOL must be a number or a JSON object")
 
 
@@ -172,7 +170,7 @@ def by_parts_residual(F: AnalyticFunction, G: AnalyticFunction, path: Path,
 
     Both products ride the left-rule staircase kernel at the step's left node;
     order matters, F multiplies from the left in one term and G from the right
-    in the other. The sum is shared out among CPUs in the same fixed blocks as
+    in the other. The sum is shared out among CPUs in the same chunks as
     integrate's, so it is the same on any machine. A failure names the s of
     the first node at fault.
     """
@@ -187,7 +185,7 @@ def by_parts_residual(F: AnalyticFunction, G: AnalyticFunction, path: Path,
     except (OverflowError, QintError) as e:
         raise _located(e, 1.0)
     at_start = eval_function(F, path.start) * eval_function(G, path.start)
-    boundary = Quaternion(*_sum([[at_end.to_list(), (-at_start).to_list()]], lambda i: 1.0 - i))
+    boundary = Quaternion(*_sum([at_end.to_list(), (-at_start).to_list()], lambda i: 1.0 - i))
     return (total - boundary).norm(), boundary
 
 

@@ -62,7 +62,7 @@ FORKS = pytest.mark.skipif(not hasattr(os, "fork"), reason="the staircase forks 
 
 @pytest.fixture
 def cpus(monkeypatch):
-    """cpus(k) makes the process see k CPUs, so a staircase of many blocks
+    """cpus(k) makes the process see k CPUs, so a staircase of many chunks
     shares them among up to k processes (one where os.fork is missing)."""
     def see(k: int) -> None:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)

@@ -8,7 +8,6 @@ from qint import (DomainError, Line, Monomial, NamedFunction, PolyLine,
                   Quaternion, SliceCircle, SliceEscapeError, StepTooCoarseError,
                   UnitImaginary, UnsupportedFunctionError,
                   integrate_with_branch_tracking)
-from qint.integrate import _BLOCK
 
 LN = NamedFunction("ln")
 U_I = UnitImaginary(Quaternion(0, 1, 0, 0))
@@ -97,6 +96,15 @@ def test_leaving_the_slice_plane_raises():
     assert 0.0 < exc.value.s_param <= 0.1
 
 
+def test_a_hair_off_the_plane_raises():
+    # the point at s = 0.01 is 1e-8 off the i-slice, past SLICE_REJECTION_TOL; a bound
+    # ten times looser would name a later s, and one a thousand times looser none
+    path = Line(Quaternion(1, 1, 0, 0), Quaternion(1, 1, 1e-6, 0))
+    with pytest.raises(SliceEscapeError) as exc:
+        integrate_with_branch_tracking(LN, path, 100)
+    assert exc.value.s_param == 0.01
+
+
 def test_coarse_sampling_of_a_loop_raises():
     with pytest.raises(StepTooCoarseError):
         integrate_with_branch_tracking(LN, SliceCircle(0.0, 1.0, U_I, 1.0), 3)
@@ -156,13 +164,13 @@ def test_memory_stays_bounded():
 U_SLICES = {"i": U_I, "jk": U_JK, "ijk": UnitImaginary(Quaternion(0, 1, 1, 1))}
 
 
-@pytest.mark.parametrize("steps", [1000, 3 * _BLOCK + 17, 100_000])
+@pytest.mark.parametrize("steps", [1000, 12305, 100_000])
 @pytest.mark.parametrize("u", list(U_SLICES))
 @pytest.mark.parametrize("turns", [-1, 1, 2])
 def test_circle_equals_its_discrete_sum(turns, u, steps, cpus):
     # on the unit circle every term (z_k - z_{k-1}) / z_{k-1} is e^{i th} - 1,
     # th = 2 pi m / N, so the value is N (e^{i th} - 1) u: a step dropped or
-    # doubled anywhere, a block boundary included, shows
+    # doubled anywhere, a chunk boundary included, shows
     unit = U_SLICES[u]
     th = 2 * math.pi * turns / steps
     re, im = -2 * steps * math.sin(th / 2) ** 2, steps * math.sin(th)  # no cancellation
@@ -173,7 +181,7 @@ def test_circle_equals_its_discrete_sum(turns, u, steps, cpus):
         assert (got.value - ref).norm() <= 1e-11 * ref.norm()
 
 
-BRANCH_STEPS = 8 * _BLOCK + 6  # even: a line through 0 has a point at s = 1/2
+BRANCH_STEPS = 32774  # even: a line through 0 has a point at s = 1/2
 
 
 @FORKS
@@ -183,7 +191,7 @@ def test_value_does_not_depend_on_the_worker_count(cpus):
     reports = []
     for k in (1, 2, 3, 4):
         cpus(k)
-        reports.append([integrate_with_branch_tracking(LN, path, 3 * _BLOCK + 17)
+        reports.append([integrate_with_branch_tracking(LN, path, 12305)
                         for path in paths])
     for got in reports[1:]:
         assert ([(r.value, r.reference) for r in got]
@@ -214,4 +222,4 @@ def test_fault_does_not_depend_on_the_worker_count(fault, cpus):
         errors.append((type(exc.value), str(exc.value), exc.value.s_param))
         assert_no_child_left()
     assert errors[1] == errors[0]
-    assert errors[0][2] > _BLOCK / BRANCH_STEPS  # past the first block
+    assert errors[0][2] > 4096 / BRANCH_STEPS  # past the first 4096 steps

@@ -319,6 +319,14 @@ def test_verify_invalid_tolerance_env_exits_1(monkeypatch, capsys):
     assert "parse error" in capsys.readouterr().err
 
 
+def test_verify_infinite_tolerance_exits_1(monkeypatch, capsys):
+    # an infinite bound would pass every check
+    monkeypatch.setenv("QINT_TOL", "Infinity")
+    rc = main(["verify", "--suite", "default"])
+    assert rc == 1
+    assert "parse error" in capsys.readouterr().err
+
+
 # -- the CLI contract over generated specs --------------------------------------
 
 _ARGVS = (

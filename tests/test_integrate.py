@@ -19,7 +19,7 @@ from qint import (DegenerateSliceError, DomainError, IntegrationReport, Line,
                   parse_path)
 from qint.functions import AnalyticFunction
 from qint.differential import _differential
-from qint.integrate import _BLOCK, _SUM_CHUNK, _off_axis_differential, _staircase, _sum
+from qint.integrate import _SUM_CHUNK, _add, _off_axis_differential, _pairs, _staircase
 from qint.suite import catalog_functions, catalog_paths
 from qint.verify import by_parts_residual, inverse_ftc_residual
 
@@ -347,12 +347,14 @@ def test_sum_carries_the_remainder_across_chunks():
     rows[_SUM_CHUNK] = (3 * 2.0**66, 2.0**48)
     rows[2 * _SUM_CHUNK + 2] = (-2.0**70, 2.0**50)
     rows[3 * _SUM_CHUNK] = (-3 * 2.0**66, -2.0**48)
-    got = _sum([rows[i:i + _SUM_CHUNK] for i in range(0, len(rows), _SUM_CHUNK)], float)
-    assert got == [math.fsum(column) for column in zip(*rows)]
+    total = _pairs(rows[:_SUM_CHUNK], float)
+    for i in range(_SUM_CHUNK, len(rows), _SUM_CHUNK):
+        total = _add(total, _pairs(rows[i:i + _SUM_CHUNK], float), 0.0)
+    assert [hi for hi, _ in total] == [math.fsum(column) for column in zip(*rows)]
 
 
 @pytest.mark.parametrize("rule", ["left", "midpoint"])
-@pytest.mark.parametrize("steps", [1000, 3 * _BLOCK + 17, 100_000])
+@pytest.mark.parametrize("steps", [1000, 12305, 100_000])
 @pytest.mark.parametrize("line", ["line_j_step", "line_cross_slice", "line_from_zero"])
 def test_square_on_a_line_equals_its_discrete_sum(line, steps, rule, cpus):
     # with the chord d = (b - a)/N, x d + d x = (x + d)^2 - x^2 - d^2, so the
@@ -368,28 +370,35 @@ def test_square_on_a_line_equals_its_discrete_sum(line, steps, rule, cpus):
     assert (got - ref).norm() <= 1e-13 * max(1.0, ref.norm())
 
 
+def sequential_fold(F, path, steps, lag):
+    """The staircase summed in this process alone, chunk after chunk in s order."""
+    term = _differential if F.is_entire else _off_axis_differential
+    inv = 1.0 / steps
+    total = None
+    for first in range(1, steps + 1, _SUM_CHUNK):
+        pairs = _pairs(_staircase(term, F, path, steps, lag, first),
+                       lambda i: (first + i - lag) * inv)
+        last = min(first + _SUM_CHUNK, steps + 1) - 1
+        total = pairs if total is None else _add(total, pairs, (last - lag) * inv)
+    return [hi for hi, _ in total]
+
+
 @FORKS
 @pytest.mark.parametrize("rule", ["left", "midpoint"])
 @pytest.mark.parametrize("fn", list(catalog_functions()))
 def test_value_does_not_depend_on_the_worker_count(fn, rule, cpus):
-    F, steps = catalog_functions()[fn], 3 * _BLOCK + 17  # four blocks, the last one short
-    values = []
+    # under any worker count, the value is this process's own chunk-by-chunk fold
+    F, steps = catalog_functions()[fn], 12305  # 13 chunks, the last one short
+    lag = 1.0 if rule == "left" else 0.5
+    want = [Quaternion(*sequential_fold(F, path, steps, lag)) for path in catalog_paths().values()]
     for k in (1, 2, 3, 4):
         cpus(k)
-        values.append([integrate(F, path, steps, rule=rule).value
-                       for path in catalog_paths().values()])
-    assert values[1] == values[0] and values[2] == values[0] and values[3] == values[0]
+        assert [integrate(F, path, steps, rule=rule).value
+                for path in catalog_paths().values()] == want
     assert_no_child_left()
 
 
-def sequential_fold(F, path, steps, lag):
-    """The staircase summed in one walk over all steps, as before it was cut into blocks."""
-    term = _differential if F.is_entire else _off_axis_differential
-    inv = 1.0 / steps
-    return _sum(_staircase(term, F, path, steps, lag, 1, steps + 1), lambda i: (i + 1 - lag) * inv)
-
-
-STEPS = 8 * _BLOCK + 6  # even: the left rule evaluates at s = 1/2
+STEPS = 32774  # even: the left rule evaluates at s = 1/2
 HUGE = 1.7e308
 FAULTS = {
     # a term out of range from w ~ 709.8 on, at s ~ 0.49
@@ -402,7 +411,8 @@ FAULTS = {
     # every term is finite, but the running total x_n - x_0 passes the largest double at s ~ 0.53
     "total": (Monomial(1), PolyLine((Quaternion(-HUGE, 1, 0, 0), Quaternion(0, 1, 0, 0),
                                      Quaternion(HUGE, 1, 0, 0)))),
-    # out of the disk in segment 2 of 8, so block 2, and again in segment 6; the first is reported
+    # out of the disk in segment 2 of 8, which the first of three children sums, and
+    # again in segment 6, which the third sums; the first is reported
     "twice": (PowerSeries((1, 1), radius=1),
               PolyLine(tuple(Quaternion(*p) for p in [(0, .5, 0, 0), (.3, .4, .2, 0), (0, .5, 0, 0),
                                                         (0, 0, 1.5, 0)] * 2 + [(0, .5, 0, 0)]))),
@@ -417,7 +427,7 @@ def test_fault_is_the_sequential_folds_under_any_worker_count(fault, rule, cpus)
     lag = 1.0 if rule == "left" else 0.5
     with pytest.raises(QintError) as want:
         sequential_fold(F, path, STEPS, lag)
-    assert want.value.s_param > _BLOCK / STEPS  # past the first block
+    assert want.value.s_param > 4096 / STEPS  # past the first 4096 steps
     for k in (1, 4):
         cpus(k)
         with pytest.raises(QintError) as got:

@@ -9,7 +9,6 @@ from qint import (CheckReport, DomainError, Line, Monomial, NamedFunction,
                   UnitImaginary, UnsupportedFunctionError, inverse_ftc_residual,
                   tolerances_from_env, verify_antiderivative_map, verify_ftc_forward,
                   verify_ftc_inverse, verify_integration_by_parts)
-from qint.integrate import _BLOCK
 from qint.suite import catalog_functions, catalog_paths
 from qint.verify import by_parts_residual
 
@@ -49,6 +48,7 @@ class TestToleranceEnv:
     @pytest.mark.parametrize("raw", [
         "not json", '"1e-6"', "true", "[1, 2]",
         '{"no_such_bound": 1e-6}', '{"by_parts": true}', '{"by_parts": "small"}',
+        "Infinity", "1e400", "NaN", "-Infinity", '{"by_parts": Infinity}', '{"winding": NaN}',
     ])
     def test_rejects_malformed_values(self, raw):
         with pytest.raises(ValueError):
@@ -186,9 +186,21 @@ class TestByParts:
             verify_integration_by_parts(exp, exp, boundary, 10)
         assert exc.value.s_param == 1.0
 
+    @pytest.mark.parametrize("steps", [1000, 12305])
+    def test_square_off_one_slice_sums_exactly(self, steps, cpus):
+        # x d + d x = (x + d)^2 - x^2 - d^2 with the chord d = (b - a)/N, so the
+        # sum is b^2 - a^2 - N d^2 and the residual exactly |b - a|^2 / N on a
+        # line across slices; G(x) dF in place of dF G(x) adds N [a, d] = [a, b]
+        path = catalog_paths()["line_cross_slice"]
+        want = (path.end - path.start).norm() ** 2 / steps
+        for k in (1, 4):
+            cpus(k)
+            res, boundary = by_parts_residual(X, X, path, steps)
+            assert abs(res - want) <= 1e-13 * max(1.0, boundary.norm())
+
     @FORKS
     def test_residual_does_not_depend_on_the_worker_count(self, cpus):
-        fns, steps = catalog_functions(), 3 * _BLOCK + 17  # four blocks, the last one short
+        fns, steps = catalog_functions(), 12305  # 13 chunks, the last one short
         pairs = [(fns["x^2"], fns["x"]), (fns["exp"], fns["sin"])]
         paths = [catalog_paths()[name] for name in ("polyline_bent", "circle_real_center")]
         got = []
@@ -201,8 +213,8 @@ class TestByParts:
     @FORKS
     def test_overflow_names_the_same_node_under_any_worker_count(self, cpus):
         # every value is finite; exp(w) exp(w) overflows from the node w ~ 354.9
-        # on, at s ~ 0.6, in block 4 of 8, which one child of four sums
-        exp, steps = NamedFunction("exp"), 8 * _BLOCK
+        # on, at s ~ 0.6, in chunk 20 of 32, which the second of three children sums
+        exp, steps = NamedFunction("exp"), 32768
         far = Line(Quaternion(340, 1, 0, 0), Quaternion(365, 1, 0, 0))
         errors = []
         for k in (1, 4):
