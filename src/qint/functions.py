@@ -197,12 +197,11 @@ class NamedFunction(AnalyticFunction):
         if self.name not in _NAMED:
             raise ValueError(f"unknown function name {self.name!r}; "
                              f"known: {sorted(_NAMED)}")
-
-    def eval_complex(self, z: complex) -> complex:
-        return _NAMED[self.name].fn(z)
-
-    def deriv_complex(self, z: complex) -> complex:
-        return _NAMED[self.name].deriv(z)
+        # the table's callables themselves, so a call reaches cmath.exp with no
+        # Python frame between; kept outside the fields, as PowerSeries' _eval_rev
+        spec = _NAMED[self.name]
+        object.__setattr__(self, "eval_complex", spec.fn)
+        object.__setattr__(self, "deriv_complex", spec.deriv)
 
     @property
     def is_entire(self) -> bool:

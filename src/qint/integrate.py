@@ -10,9 +10,10 @@ import statistics
 import threading
 from array import array
 from dataclasses import dataclass, field
+from operator import sub
 from typing import BinaryIO, Callable, Iterator, Sequence
 
-from .differential import _differential
+from .differential import _differential, _differential_columns
 from .errors import (DegenerateSliceError, DomainError, MissingReferenceError, QintError,
                      SliceEscapeError, StepTooCoarseError, UnsupportedFunctionError)
 from .functions import AnalyticFunction, NamedFunction
@@ -54,22 +55,22 @@ class IntegrationReport:
         return all(err is not None and err <= EXACT_FLOOR for _, _, err in self.rows)
 
 
-def _pairs(chunk: Sequence[Sequence[float]],
+def _pairs(columns: Sequence[Sequence[float]],
            s_of: Callable[[int], float]) -> list[tuple[float, float]]:
-    """Column-wise sums of a chunk of terms, each term a row of floats: per
-    column, math.fsum (Shewchuk's correctly rounded summation) and the
-    remainder its rounding dropped, as a (total, remainder) pair. A non-finite
-    term or total raises DomainError at s_of(i), i the index of the first
-    non-finite term (else the chunk's last)."""
+    """The sums of a chunk of terms given as columns of floats, term i at
+    index i of each: per column, math.fsum (Shewchuk's correctly rounded
+    summation) and the remainder its rounding dropped, as a (total,
+    remainder) pair. A non-finite term or total raises DomainError at
+    s_of(i), i the index of the first non-finite term (else the chunk's last)."""
     pairs = []
-    for xs in zip(*chunk):
+    for xs in columns:
         try:
             total = math.fsum(xs)
             if not math.isfinite(total):
                 raise OverflowError("sum out of range")
         except (ValueError, OverflowError) as e:  # inf - inf, or past the largest double
-            i = next((i for i, row in enumerate(chunk) if not all(map(math.isfinite, row))),
-                     len(chunk) - 1)
+            i = next((i for i, row in enumerate(zip(*columns))
+                      if not all(map(math.isfinite, row))), len(xs) - 1)
             raise DomainError(f"overflow ({e})", s_param=s_of(i)) from e
         pairs.append((total, math.fsum([*xs, -total])))
     return pairs
@@ -77,15 +78,15 @@ def _pairs(chunk: Sequence[Sequence[float]],
 
 def _add(carry: list[tuple[float, float]], pairs: list[tuple[float, float]],
          s: float) -> list[tuple[float, float]]:
-    """The running (total, remainder) pairs with a chunk's pairs added: the
-    _pairs of their four rows, matching one fsum over all terms to about
-    2**-106 relative. A total out of range raises DomainError at s."""
-    return _pairs([*zip(*carry), *zip(*pairs)], lambda i: s)
+    """The running (total, remainder) pairs with a chunk's pairs added: per
+    column, the _pairs of its four floats, matching one fsum over all terms
+    to about 2**-106 relative. A total out of range raises DomainError at s."""
+    return _pairs([(*a, *b) for a, b in zip(carry, pairs)], lambda i: s)
 
 
 def _sum(rows: Sequence[Sequence[float]], s_of: Callable[[int], float]) -> list[float]:
-    """The totals of _pairs(rows, s_of), one per column."""
-    return [hi for hi, _ in _pairs(rows, s_of)]
+    """The totals of _pairs of the rows' columns, one per column."""
+    return [hi for hi, _ in _pairs(list(zip(*rows)), s_of)]
 
 
 def _located(e: OverflowError | QintError, s: float) -> QintError:
@@ -143,11 +144,11 @@ def _check_axis(x1: float, x2: float, x3: float) -> None:
 
 def _staircase(term: Callable[..., Sequence[float]], F: AnalyticFunction, path: Path,
                steps: int, lag: float, first: int) -> list[Sequence[float]]:
-    """One chunk of rows term(F, x_eval, x_n - x_{n-1}), n = first, ...,
-    min(first + _SUM_CHUNK - 1, steps), x_eval at s = (n - lag) / steps, on bare
-    floats as in _differential's signature; with term = _differential,
-    differential()'s terms bit for bit, and no Quaternion per step. A failure
-    names the s of its evaluation point."""
+    """The row walk: one chunk of rows term(F, x_eval, x_n - x_{n-1}), n =
+    first, ..., min(first + _SUM_CHUNK - 1, steps), x_eval at s = (n - lag) /
+    steps, on bare floats as in _differential's signature, returned as
+    columns; with term = _differential, differential()'s terms bit for bit,
+    and no Quaternion per step. A failure names the s of its evaluation point."""
     coords = path.coords
     midpoint = lag != 1.0
     inv = 1.0 / steps
@@ -161,7 +162,22 @@ def _staircase(term: Callable[..., Sequence[float]], F: AnalyticFunction, path: 
             pw, p1, p2, p3 = w, a1, a2, a3
     except (OverflowError, QintError) as e:
         raise _located(e, (n - lag) * inv)
-    return rows
+    return list(zip(*rows))
+
+
+def _columns(F: AnalyticFunction, path: Path, steps: int, lag: float,
+             first: int) -> list[list[float]] | None:
+    """_staircase(_differential, ...)'s chunk by columns, through
+    _differential_columns: the points come from map(path.coords, ...), the
+    same floats the row walk reads. None where the kernel does not apply."""
+    inv = 1.0 / steps
+    ns = range(first, min(first + _SUM_CHUNK, steps + 1))
+    W, A1, A2, A3 = zip(*map(path.coords, [n * inv for n in range(first - 1, ns.stop)]))
+    if lag == 1.0:  # the left rule evaluates where each chord starts
+        points = W[:-1], A1[:-1], A2[:-1], A3[:-1]
+    else:
+        points = zip(*map(path.coords, [(n - lag) * inv for n in ns]))
+    return _differential_columns(F, *points, *(map(sub, A[1:], A) for A in (W, A1, A2, A3)))
 
 
 def _workers(chunks: int) -> int:
@@ -207,17 +223,17 @@ def _read_pairs(pipe: BinaryIO, chunks: int, width: int) -> Iterator[list[tuple[
             yield list(zip(flat[k:k + 2 * width:2], flat[k + 1:k + 2 * width:2]))
 
 
-def _staircase_sum(term: Callable[..., Sequence[float]], F: AnalyticFunction, path: Path,
-                   steps: int, lag: float) -> list[float]:
-    """The column sums of _staircase(term, ...) over all steps: the one
-    staircase sum behind integrate, branch tracking and by-parts. Each chunk
-    of _SUM_CHUNK steps is summed by _pairs, and the chunks' pairs are added
-    by _add in s order, so the value depends on term, F, the path, steps and
-    lag only. With one chunk it is _pairs' value bit for bit.
+def _staircase_sum(walk: Callable[[int], Sequence[Sequence[float]]], steps: int,
+                   lag: float) -> list[float]:
+    """The column sums of walk(first), one chunk's columns of terms, over
+    all steps: the one staircase sum behind integrate, branch tracking and
+    by-parts. Each chunk of _SUM_CHUNK steps is summed by _pairs, and the
+    chunks' pairs are added by _add in s order, so the value depends on the
+    terms only. With one chunk it is _pairs' value bit for bit.
 
     Runs of chunks are shared between this process and forked children (see
-    _workers), which write their pairs back as raw doubles: fork shares F,
-    the path and term, so nothing is pickled. This process sums its own run,
+    _workers), which write their pairs back as raw doubles: fork shares
+    walk, so nothing is pickled. This process sums its own run,
     then adds every child's pairs in turn, and sums a chunk itself wherever
     a child sent nothing: one that failed, died or could not be forked. So a
     fault is always raised here, by the first chunk along the path that has
@@ -231,8 +247,7 @@ def _staircase_sum(term: Callable[..., Sequence[float]], F: AnalyticFunction, pa
             for k in range(workers)]
 
     def chunk(first: int) -> list[tuple[float, float]]:
-        return _pairs(_staircase(term, F, path, steps, lag, first),
-                      lambda i: (first + i - lag) * inv)
+        return _pairs(walk(first), lambda i: (first + i - lag) * inv)
 
     children, total = [], None
     try:
@@ -269,10 +284,14 @@ def integrate(F: AnalyticFunction, path: Path, steps: int,
     kernel that equals summing the differential() terms, and a failure names
     the evaluation point's s.
 
-    Steps are summed in chunks of _SUM_CHUNK. Where os.fork exists, a
-    staircase of several chunks is shared out among the CPUs this process
-    may run on; the chunk sums are added in s order, so the value is the
-    same on any machine, and a failure is the first one along the path.
+    Steps are summed in chunks of _SUM_CHUNK. A chunk is summed by columns
+    (_columns) where every evaluation point has _TINY_R <= r < inf; any other
+    chunk, or one whose column kernel raises, takes the row walk
+    (_staircase), which gives the same terms and names the s at fault. Where
+    os.fork exists, a staircase of several chunks is shared out among the
+    CPUs this process may run on; the chunk sums are added in s order, so
+    the value is the same on any machine, and a failure is the first one
+    along the path.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -280,7 +299,15 @@ def integrate(F: AnalyticFunction, path: Path, steps: int,
         raise ValueError(f"unknown rule {rule!r}; expected 'left' or 'midpoint'")
     lag = 0.5 if rule == "midpoint" else 1.0
     term = _differential if F.is_entire else _off_axis_differential
-    value = _staircase_sum(term, F, path, steps, lag)
+
+    def walk(first: int) -> Sequence[Sequence[float]]:
+        try:
+            columns = _columns(F, path, steps, lag, first)
+        except (OverflowError, QintError):  # the row walk names the s at fault
+            columns = None
+        return columns or _staircase(term, F, path, steps, lag, first)
+
+    value = _staircase_sum(walk, steps, lag)
     return _single_report(steps, Quaternion(*value), _try_reference(F, path))
 
 
@@ -413,7 +440,8 @@ def integrate_with_branch_tracking(F: AnalyticFunction, path: Path,
         log_first = math.log(abs(slice_z(*coords(0.0))))
     except (OverflowError, QintError) as e:
         raise _located(e, 0.0)
-    re, im, phase = _staircase_sum(term, F, path, steps, 1.0)
+    re, im, phase = _staircase_sum(lambda first: _staircase(term, F, path, steps, 1.0, first),
+                                   steps, 1.0)
     try:
         log_last = math.log(abs(slice_z(*coords(steps * h))))
     except (OverflowError, QintError) as e:

@@ -5,7 +5,7 @@ chords, so only coords() and the endpoints matter to the rest of the library.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .quaternion import Quaternion, _finite
 from .slices import UnitImaginary
@@ -14,13 +14,6 @@ TAU = 2.0 * math.pi
 
 # (w, x1, x2, x3) of one point, the form integration reads paths in
 _Coords = tuple[float, float, float, float]
-
-
-def _lerp(a: Quaternion, b: Quaternion, t: float) -> _Coords:
-    # (1-t)*a + t*b hits both endpoints exactly, unlike a + t*(b-a)
-    s = 1.0 - t
-    return (s * a.w + t * b.w, s * a.x1 + t * b.x1,
-            s * a.x2 + t * b.x2, s * a.x3 + t * b.x3)
 
 
 class Path:
@@ -51,9 +44,17 @@ class Line(Path):
 
     a: Quaternion
     b: Quaternion
+    # the components of a and b, read by coords without a Quaternion attribute each
+    _ends: tuple[_Coords, _Coords] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_ends", (tuple(self.a.to_list()), tuple(self.b.to_list())))
 
     def coords(self, s: float) -> _Coords:
-        return _lerp(self.a, self.b, s)
+        # (1-s)*a + s*b hits both endpoints exactly, unlike a + s*(b-a)
+        (aw, a1, a2, a3), (bw, b1, b2, b3) = self._ends
+        t = 1.0 - s
+        return t * aw + s * bw, t * a1 + s * b1, t * a2 + s * b2, t * a3 + s * b3
 
     def to_json(self) -> dict:
         return {"kind": "line", "a": self.a.to_list(), "b": self.b.to_list()}
@@ -64,19 +65,23 @@ class PolyLine(Path):
     """Straight segments through waypoints, each traversed in equal s-time."""
 
     waypoints: tuple[Quaternion, ...]
+    # segment k as a Line, so coords shares Line's interpolation
+    _segments: tuple[Line, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "waypoints", tuple(self.waypoints))
         if len(self.waypoints) < 2:
             raise ValueError("polyline needs at least 2 waypoints")
+        object.__setattr__(self, "_segments", tuple(
+            Line(a, b) for a, b in zip(self.waypoints, self.waypoints[1:])))
 
     def coords(self, s: float) -> _Coords:
-        k = len(self.waypoints) - 1
+        k = len(self._segments)
         t = s * k
         seg = min(int(math.floor(t)), k - 1)
         if seg < 0:
             seg = 0
-        return _lerp(self.waypoints[seg], self.waypoints[seg + 1], t - seg)
+        return self._segments[seg].coords(t - seg)
 
     def to_json(self) -> dict:
         return {"kind": "polyline", "points": [p.to_list() for p in self.waypoints]}

@@ -11,8 +11,8 @@ from dataclasses import dataclass, field, fields, replace
 from .differential import _differential, differential
 from .functions import AnalyticFunction, antiderivative
 from .errors import QintError
-from .integrate import (EXACT_FLOOR, _located, _staircase_sum, _sum, convergence_study,
-                        endpoint_reference, integrate)
+from .integrate import (EXACT_FLOOR, _located, _staircase, _staircase_sum, _sum,
+                        convergence_study, endpoint_reference, integrate)
 from .paths import Line, Path
 from .quaternion import Quaternion, _finite
 from .slices import _lift, decompose_delta, eval_function
@@ -57,12 +57,21 @@ _RESIDUAL_FIELDS = ("exact_floor", "monomial_rel", "path_independence", "closed_
                     "mutual_oracle", "ftc_final")
 
 
+def _bound(value, what: str) -> float:
+    """A QINT_TOL value as a float: finite and not negative, since no
+    residual can meet a negative bound."""
+    bound = _finite(value, what)
+    if bound < 0.0:
+        raise ValueError(f"{what} must not be negative, got {value!r}")
+    return bound
+
+
 def tolerances_from_env(env=None) -> Tolerances:
     """Default tolerances, with QINT_TOL applied if set.
 
     Accepts either a bare number ("1e-6") or a JSON object naming fields
-    ('{"by_parts": 1e-4}'). Raises ValueError on anything else, a NaN or an
-    infinity included.
+    ('{"by_parts": 1e-4}'). Raises ValueError on anything else, a NaN, an
+    infinity or a negative number included.
     """
     if env is None:
         env = os.environ
@@ -74,14 +83,14 @@ def tolerances_from_env(env=None) -> Tolerances:
     except json.JSONDecodeError as e:
         raise ValueError(f"QINT_TOL is not valid JSON: {e}") from e
     if isinstance(obj, (int, float)):  # a boolean too, which _finite rejects
-        bound = _finite(obj, "QINT_TOL")
+        bound = _bound(obj, "QINT_TOL")
         return Tolerances(**{name: bound for name in _RESIDUAL_FIELDS})
     if isinstance(obj, dict):
         known = {f.name for f in fields(Tolerances)}
         unknown = set(obj) - known
         if unknown:
             raise ValueError(f"QINT_TOL names unknown fields: {sorted(unknown)}")
-        return replace(Tolerances(), **{k: _finite(v, f"QINT_TOL field {k!r}")
+        return replace(Tolerances(), **{k: _bound(v, f"QINT_TOL field {k!r}")
                                         for k, v in obj.items()})
     raise ValueError("QINT_TOL must be a number or a JSON object")
 
@@ -179,7 +188,8 @@ def by_parts_residual(F: AnalyticFunction, G: AnalyticFunction, path: Path,
         return (Quaternion(*_lift(F.eval_complex, *xd[:4])) * dG
                 + dF * Quaternion(*_lift(G.eval_complex, *xd[:4]))).to_list()
 
-    total = Quaternion(*_staircase_sum(term, F, path, steps, 1.0))
+    total = Quaternion(*_staircase_sum(
+        lambda first: _staircase(term, F, path, steps, 1.0, first), steps, 1.0))
     try:  # the walk evaluated F and G at the start, not at the end
         at_end = eval_function(F, path.end) * eval_function(G, path.end)
     except (OverflowError, QintError) as e:

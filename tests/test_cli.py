@@ -327,6 +327,17 @@ def test_verify_infinite_tolerance_exits_1(monkeypatch, capsys):
     assert "parse error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("raw,named", [("-1", "QINT_TOL"),
+                                       ('{"by_parts": -0.001}', "'by_parts'")])
+def test_verify_negative_tolerance_exits_1(monkeypatch, capsys, raw, named):
+    # a negative bound would fail every check
+    monkeypatch.setenv("QINT_TOL", raw)
+    rc = main(["verify", "--suite", "default"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "parse error" in err and named in err and "negative" in err
+
+
 # -- the CLI contract over generated specs --------------------------------------
 
 _ARGVS = (

@@ -347,9 +347,9 @@ def test_sum_carries_the_remainder_across_chunks():
     rows[_SUM_CHUNK] = (3 * 2.0**66, 2.0**48)
     rows[2 * _SUM_CHUNK + 2] = (-2.0**70, 2.0**50)
     rows[3 * _SUM_CHUNK] = (-3 * 2.0**66, -2.0**48)
-    total = _pairs(rows[:_SUM_CHUNK], float)
+    total = _pairs(list(zip(*rows[:_SUM_CHUNK])), float)
     for i in range(_SUM_CHUNK, len(rows), _SUM_CHUNK):
-        total = _add(total, _pairs(rows[i:i + _SUM_CHUNK], float), 0.0)
+        total = _add(total, _pairs(list(zip(*rows[i:i + _SUM_CHUNK])), float), 0.0)
     assert [hi for hi, _ in total] == [math.fsum(column) for column in zip(*rows)]
 
 
@@ -398,6 +398,36 @@ def test_value_does_not_depend_on_the_worker_count(fn, rule, cpus):
     assert_no_child_left()
 
 
+# chunks the column kernel must leave to the row walk, which handles r == 0
+# and r < 2**-511 on its own branches
+ROW_WALK_PATHS = {
+    # the left rule's point at s = 1/16, step 513 of 8192, is on the real axis
+    "axis": Line(Quaternion(1, -1, 0, 0), Quaternion(1, 15, 0, 0)),
+    # every r on it is below 2**-511
+    "tiny": Line(Quaternion(-1, 1e-160, 0, 0), Quaternion(1, 1e-160, 1e-160, 0)),
+}
+
+
+@pytest.mark.parametrize("rule", ["left", "midpoint"])
+@pytest.mark.parametrize("fn", ["x3", "exp"])
+@pytest.mark.parametrize("path", list(ROW_WALK_PATHS))
+def test_chunks_with_a_real_axis_or_tiny_r_point_equal_the_row_walk(path, fn, rule, cpus):
+    F, P = {"x3": Monomial(3), "exp": NamedFunction("exp")}[fn], ROW_WALK_PATHS[path]
+    lag = 1.0 if rule == "left" else 0.5
+    want = Quaternion(*sequential_fold(F, P, 8192, lag))
+    for k in (1, 4):
+        cpus(k)
+        assert integrate(F, P, 8192, rule=rule).value == want
+
+
+def test_ln_on_the_real_axis_mid_chunk_names_its_s(cpus):
+    for k in (1, 4):
+        cpus(k)
+        with pytest.raises(DegenerateSliceError) as exc:
+            integrate(NamedFunction("ln"), ROW_WALK_PATHS["axis"], 8192)
+        assert exc.value.s_param == 0.0625
+
+
 STEPS = 32774  # even: the left rule evaluates at s = 1/2
 HUGE = 1.7e308
 FAULTS = {
@@ -444,14 +474,14 @@ def test_a_child_that_dies_before_writing_is_summed_again(cpus, monkeypatch):
     F, path = NamedFunction("exp"), KERNEL_PATHS["circle"]
     cpus(1)
     want = integrate(F, path, STEPS).value
-    parent = os.getpid()
+    parent, pairs = os.getpid(), sys.modules["qint.integrate"]._pairs
 
-    def dying(*args):
+    def dying(*args):  # every chunk is folded by _pairs, whichever kernel summed it
         if os.getpid() != parent:
             os._exit(1)
-        return _differential(*args)
+        return pairs(*args)
 
-    monkeypatch.setattr(sys.modules["qint.integrate"], "_differential", dying)
+    monkeypatch.setattr(sys.modules["qint.integrate"], "_pairs", dying)
     cpus(4)
     assert integrate(F, path, STEPS).value == want
     assert_no_child_left()

@@ -49,10 +49,15 @@ class TestToleranceEnv:
         "not json", '"1e-6"', "true", "[1, 2]",
         '{"no_such_bound": 1e-6}', '{"by_parts": true}', '{"by_parts": "small"}',
         "Infinity", "1e400", "NaN", "-Infinity", '{"by_parts": Infinity}', '{"winding": NaN}',
+        "-1", "-1e-300", '{"by_parts": -0.001}', '{"slope_min": -0.9}',
     ])
     def test_rejects_malformed_values(self, raw):
         with pytest.raises(ValueError):
             tolerances_from_env(env={"QINT_TOL": raw})
+
+    def test_zero_is_a_bound(self):
+        assert tolerances_from_env(env={"QINT_TOL": "0"}).by_parts == 0.0
+        assert tolerances_from_env(env={"QINT_TOL": '{"winding": 0}'}).winding == 0.0
 
     def test_describe_lists_every_field(self):
         d = Tolerances().describe()
