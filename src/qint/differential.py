@@ -62,16 +62,17 @@ def _differential_columns(F: AnalyticFunction, XW: Sequence[float], X1: Sequence
                           D3: Iterable[float]) -> list[list[float]] | None:
     """_differential over columns of points and increments, as the four
     columns of its terms, bit for bit. The per-point C calls (hypot, complex,
-    f' then f at each point) run in map, and one loop does the arithmetic.
+    f' at every point, then f, which is f' itself where F's eval_complex is
+    its deriv_complex) run in map, and one loop does the arithmetic.
     None unless every r is in [_TINY_R, inf), the one branch this covers."""
     R = list(map(math.hypot, X1, X2, X3))
     if not (min(R) >= _TINY_R and sum(R) < math.inf):  # a NaN r fails too
         return None
     Z = list(map(complex, XW, R))
+    FP = list(map(F.deriv_complex, Z))
+    FZ = FP if F.eval_complex is F.deriv_complex else map(F.eval_complex, Z)  # exp: f = f'
     W, V1, V2, V3 = columns = [[], [], [], []]
-    for dw, d1, d2, d3, x1, x2, x3, r, fp, fz in zip(DW, D1, D2, D3, X1, X2, X3, R,
-                                                     map(F.deriv_complex, Z),
-                                                     map(F.eval_complex, Z)):
+    for dw, d1, d2, d3, x1, x2, x3, r, fp, fz in zip(DW, D1, D2, D3, X1, X2, X3, R, FP, FZ):
         q = fz.imag / r
         c, d = fp.real, fp.imag
         u1, u2, u3 = x1 / r, x2 / r, x3 / r

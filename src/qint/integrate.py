@@ -5,13 +5,14 @@ and a branch-tracked variant for ln on in-slice paths.
 
 import math
 import os
+import select
 import signal
 import statistics
 import threading
 from array import array
 from dataclasses import dataclass, field
 from operator import sub
-from typing import BinaryIO, Callable, Iterator, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
 
 from .differential import _differential, _differential_columns
 from .errors import (DegenerateSliceError, DomainError, MissingReferenceError, QintError,
@@ -190,14 +191,14 @@ def _workers(chunks: int) -> int:
     return min(len(os.sched_getaffinity(0)), chunks)
 
 
-def _fork(work: Callable[[], list[float]]) -> tuple[int, BinaryIO] | None:
-    """Run work() in a forked child that writes its floats to a pipe as raw
+def _fork(work: Callable[[], array]) -> tuple[int, BinaryIO] | None:
+    """Run work() in a forked child that writes its array to a pipe as raw
     doubles, or nothing if it fails, and exits at once. Returns (pid, the
     pipe's read end), or None when no child can be started."""
     r, w = os.pipe()
     try:
         pid = os.fork()
-    except OSError:  # no process to spare: the caller sums the run itself
+    except OSError:  # no process to spare: the claims are left to the others
         os.close(r)
         os.close(w)
         return None
@@ -205,7 +206,7 @@ def _fork(work: Callable[[], list[float]]) -> tuple[int, BinaryIO] | None:
         status = 1
         try:
             with open(w, "wb") as pipe:
-                pipe.write(array("d", work()))
+                pipe.write(work())
             status = 0
         finally:
             os._exit(status)
@@ -213,58 +214,76 @@ def _fork(work: Callable[[], list[float]]) -> tuple[int, BinaryIO] | None:
     return pid, open(r, "rb")
 
 
-def _read_pairs(pipe: BinaryIO, chunks: int, width: int) -> Iterator[list[tuple[float, float]]]:
-    """A child's (total, remainder) pairs, width per chunk, one chunk at a
-    time; nothing unless it sent them all."""
-    raw = pipe.read()
-    if len(raw) == 16 * width * chunks:
-        flat = array("d", raw)
-        for k in range(0, len(flat), 2 * width):
-            yield list(zip(flat[k:k + 2 * width:2], flat[k + 1:k + 2 * width:2]))
-
-
 def _staircase_sum(walk: Callable[[int], Sequence[Sequence[float]]], steps: int,
-                   lag: float) -> list[float]:
-    """The column sums of walk(first), one chunk's columns of terms, over
-    all steps: the one staircase sum behind integrate, branch tracking and
-    by-parts. Each chunk of _SUM_CHUNK steps is summed by _pairs, and the
+                   lag: float, width: int) -> list[float]:
+    """The column sums of walk(first), one chunk's width columns of terms,
+    over all steps: the one staircase sum behind integrate, branch tracking
+    and by-parts. Each chunk of _SUM_CHUNK steps is summed by _pairs, and the
     chunks' pairs are added by _add in s order, so the value depends on the
     terms only. With one chunk it is _pairs' value bit for bit.
 
-    Runs of chunks are shared between this process and forked children (see
-    _workers), which write their pairs back as raw doubles: fork shares
-    walk, so nothing is pickled. This process sums its own run,
-    then adds every child's pairs in turn, and sums a chunk itself wherever
-    a child sent nothing: one that failed, died or could not be forked. So a
-    fault is always raised here, by the first chunk along the path that has
-    one, with the fold's own type, message and s; a total out of range is
-    named by its chunk's last s. Every child is stopped and reaped on exit.
+    Chunks are shared with forked children (see _workers) through a queue:
+    a pipe of 4-byte claims, at most select.PIPE_BUF bytes, closed for
+    writing before the first fork. Each process sums one claim's chunks at a
+    time until the queue is empty, so a faster CPU sums more; a child writes
+    back (chunk index, pairs) records as raw doubles. A fault empties the
+    queue. This process then adds the pairs in s order, and sums itself any
+    chunk nobody sent (one that faulted, or whose child died or was not
+    forked), so a fault is always raised here, by the first faulty chunk
+    along the path, with the fold's own type, message and s; a total out of
+    range is named by its chunk's last s. Only this process waits, on each
+    child's pipe to its end; every child is reaped on exit.
     """
     inv = 1.0 / steps
     firsts = range(1, steps + 1, _SUM_CHUNK)  # each chunk's first step
-    workers = _workers(len(firsts))
-    runs = [firsts[k * len(firsts) // workers:(k + 1) * len(firsts) // workers]
-            for k in range(workers)]
+    n, rec = len(firsts), 1 + 2 * width  # a chunk's record: its index, then its pairs
 
-    def chunk(first: int) -> list[tuple[float, float]]:
+    def chunk(k: int) -> list[tuple[float, float]]:
+        first = firsts[k]
         return _pairs(walk(first), lambda i: (first + i - lag) * inv)
 
-    children, total = [], None
+    def claimed(queue: int, per: int) -> Iterator[int]:  # the chunks of each claim read
+        while record := os.read(queue, 4):  # a claim's first chunk
+            yield from range(n)[int.from_bytes(record, "little"):][:per]
+
+    def sums(chunks: Iterable[int], out: array) -> array:  # records, up to the first fault
+        try:
+            for k in chunks:
+                out.extend([k, *(x for pair in chunk(k) for x in pair)])
+        except Exception:  # summed again below, where it raises unless an earlier chunk does,
+            if queue is not None:  # so no claim still queued, all past it, is needed: drop them
+                os.read(queue, select.PIPE_BUF)
+        return out
+
+    got, children, queue, workers = array("d"), [], None, _workers(n)
     try:
-        for run in runs[1:]:
-            children.append(_fork(lambda run=run: [x for first in run
-                                                   for pair in chunk(first) for x in pair]))
-        for run, child in zip(runs, [None, *children]):
-            sent = _read_pairs(child[1], len(run), len(total)) if child else iter(())
-            for first in run:
-                pairs = next(sent, None) or chunk(first)
-                last = min(first + _SUM_CHUNK, steps + 1) - 1  # the chunk's last step
-                total = pairs if total is None else _add(total, pairs, (last - lag) * inv)
+        if workers > 1:
+            per = -(-n // (select.PIPE_BUF // 4))  # chunks per claim: one atomic write
+            queue, w = os.pipe()
+            os.write(w, b"".join(k.to_bytes(4, "little") for k in range(0, n, per)))
+            os.close(w)  # so that reading the empty queue returns EOF
+            children = [_fork(lambda: sums(claimed(queue, per), array("d")))
+                        for _ in range(workers - 1)]
+        sums(range(n) if queue is None else claimed(queue, per), got)
+        for child in filter(None, children):
+            raw = child[1].read()  # whole records only: a child may die writing
+            got.frombytes(raw[:len(raw) - len(raw) % (8 * rec)])
     finally:
+        if queue is not None:
+            os.close(queue)
         for child in filter(None, children):
             os.kill(child[0], signal.SIGKILL)  # no effect on a child that has finished
             child[1].close()
             os.waitpid(child[0], 0)
+    where = array("q", [-1]) * n  # each chunk's record in got
+    for o in range(0, len(got), rec):
+        where[int(got[o])] = o
+    total = None
+    for k, first in enumerate(firsts):
+        o = where[k]
+        pairs = list(zip(got[o + 1:o + rec:2], got[o + 2:o + rec:2])) if o >= 0 else chunk(k)
+        last = min(first + _SUM_CHUNK, steps + 1) - 1  # the chunk's last step
+        total = pairs if total is None else _add(total, pairs, (last - lag) * inv)
     return [hi for hi, _ in total]
 
 
@@ -288,10 +307,10 @@ def integrate(F: AnalyticFunction, path: Path, steps: int,
     (_columns) where every evaluation point has _TINY_R <= r < inf; any other
     chunk, or one whose column kernel raises, takes the row walk
     (_staircase), which gives the same terms and names the s at fault. Where
-    os.fork exists, a staircase of several chunks is shared out among the
-    CPUs this process may run on; the chunk sums are added in s order, so
-    the value is the same on any machine, and a failure is the first one
-    along the path.
+    os.fork exists, the chunks of a staircase of several are claimed one by
+    one by a process per CPU this process may run on; the chunk sums are
+    added in s order, so the value is the same on any machine and whichever
+    process summed which chunk, and a failure is the first one along the path.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -307,7 +326,7 @@ def integrate(F: AnalyticFunction, path: Path, steps: int,
             columns = None
         return columns or _staircase(term, F, path, steps, lag, first)
 
-    value = _staircase_sum(walk, steps, lag)
+    value = _staircase_sum(walk, steps, lag, 4)
     return _single_report(steps, Quaternion(*value), _try_reference(F, path))
 
 
@@ -441,7 +460,7 @@ def integrate_with_branch_tracking(F: AnalyticFunction, path: Path,
     except (OverflowError, QintError) as e:
         raise _located(e, 0.0)
     re, im, phase = _staircase_sum(lambda first: _staircase(term, F, path, steps, 1.0, first),
-                                   steps, 1.0)
+                                   steps, 1.0, 3)
     try:
         log_last = math.log(abs(slice_z(*coords(steps * h))))
     except (OverflowError, QintError) as e:

@@ -189,7 +189,7 @@ def by_parts_residual(F: AnalyticFunction, G: AnalyticFunction, path: Path,
                 + dF * Quaternion(*_lift(G.eval_complex, *xd[:4]))).to_list()
 
     total = Quaternion(*_staircase_sum(
-        lambda first: _staircase(term, F, path, steps, 1.0, first), steps, 1.0))
+        lambda first: _staircase(term, F, path, steps, 1.0, first), steps, 1.0, 4))
     try:  # the walk evaluated F and G at the start, not at the end
         at_end = eval_function(F, path.end) * eval_function(G, path.end)
     except (OverflowError, QintError) as e:

@@ -4,6 +4,7 @@ import os
 import random
 import sys
 import threading
+import time
 import tracemalloc
 
 import pytest
@@ -441,8 +442,8 @@ FAULTS = {
     # every term is finite, but the running total x_n - x_0 passes the largest double at s ~ 0.53
     "total": (Monomial(1), PolyLine((Quaternion(-HUGE, 1, 0, 0), Quaternion(0, 1, 0, 0),
                                      Quaternion(HUGE, 1, 0, 0)))),
-    # out of the disk in segment 2 of 8, which the first of three children sums, and
-    # again in segment 6, which the third sums; the first is reported
+    # out of the disk in segment 2 of 8 and again in segment 6, in chunks that any
+    # process may claim; the first is reported
     "twice": (PowerSeries((1, 1), radius=1),
               PolyLine(tuple(Quaternion(*p) for p in [(0, .5, 0, 0), (.3, .4, .2, 0), (0, .5, 0, 0),
                                                         (0, 0, 1.5, 0)] * 2 + [(0, .5, 0, 0)]))),
@@ -485,6 +486,86 @@ def test_a_child_that_dies_before_writing_is_summed_again(cpus, monkeypatch):
     cpus(4)
     assert integrate(F, path, STEPS).value == want
     assert_no_child_left()
+
+
+@FORKS
+def test_a_later_fault_claimed_by_this_process_is_not_the_one_reported(cpus, monkeypatch):
+    # exp overflows from w ~ 709.8 on, at s ~ 0.204: chunk 3 of 16 and every one after it,
+    # and only such a chunk takes the row walk. This process stalls before its first claim,
+    # so the children claim chunk 3 and the next ones and stall in their row walks; this
+    # process then claims a later faulty chunk and meets its fault first. Chunk 3's is reported
+    F, path = NamedFunction("exp"), Line(Quaternion(700, 1, 0, 0), Quaternion(748, 1, 0, 0))
+    steps = 16 * _SUM_CHUNK
+    with pytest.raises(QintError) as want:
+        sequential_fold(F, path, steps, 1.0)
+    assert 3 / 16 <= want.value.s_param < 4 / 16
+    parent, read, module = os.getpid(), os.read, sys.modules["qint.integrate"]
+    row_walk = module._staircase
+
+    def stalled_claim(fd, size):
+        if os.getpid() == parent and not stalls:
+            stalls.append(fd)
+            time.sleep(0.2)
+        return read(fd, size)
+
+    def stalled_row_walk(*args):
+        if os.getpid() != parent:
+            time.sleep(0.6)
+        return row_walk(*args)
+
+    monkeypatch.setattr(os, "read", stalled_claim)
+    monkeypatch.setattr(module, "_staircase", stalled_row_walk)
+    for k in (2, 4):
+        cpus(k)
+        stalls = []
+        with pytest.raises(QintError) as got:
+            integrate(F, path, steps)
+        assert stalls
+        assert type(got.value) is type(want.value)
+        assert (str(got.value), got.value.s_param) == (str(want.value), want.value.s_param)
+        assert_no_child_left()
+
+
+class _TornPipe:
+    """A child's pipe that takes its records but the last 20 bytes, then dies."""
+
+    def __init__(self, fd: int, mode: str):
+        self.fd = fd
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def write(self, records):
+        os.write(self.fd, bytes(records)[:-20])
+        os._exit(1)
+
+
+@FORKS
+@pytest.mark.parametrize("death", ["before_claiming", "after_claiming", "while_writing"])
+def test_a_child_that_dies_at_any_point_is_summed_again(death, cpus, monkeypatch):
+    F, path = NamedFunction("exp"), KERNEL_PATHS["circle"]
+    want = Quaternion(*sequential_fold(F, path, STEPS, 1.0))
+    parent, read, module = os.getpid(), os.read, sys.modules["qint.integrate"]
+
+    def claim(fd, size):  # every claim a child reads goes through here
+        if os.getpid() != parent and death == "before_claiming":
+            os._exit(1)
+        record = read(fd, size)
+        if os.getpid() != parent and death == "after_claiming":
+            os._exit(1)
+        return record
+
+    monkeypatch.setattr(os, "read", claim)
+    if death == "while_writing":
+        monkeypatch.setattr(module, "open", lambda fd, mode: (
+            open(fd, mode) if os.getpid() == parent else _TornPipe(fd, mode)), raising=False)
+    for k in (2, 4):
+        cpus(k)
+        assert integrate(F, path, STEPS).value == want
+        assert_no_child_left()
 
 
 @FORKS
