@@ -242,7 +242,7 @@ def _staircase_sum(walk: Callable[[int], Sequence[Sequence[float]]], steps: int,
         first = firsts[k]
         return _pairs(walk(first), lambda i: (first + i - lag) * inv)
 
-    def claimed(queue: int, per: int) -> Iterator[int]:  # the chunks of each claim read
+    def claimed() -> Iterator[int]:  # the chunks of each claim read from the queue
         while record := os.read(queue, 4):  # a claim's first chunk
             yield from range(n)[int.from_bytes(record, "little"):][:per]
 
@@ -262,9 +262,9 @@ def _staircase_sum(walk: Callable[[int], Sequence[Sequence[float]]], steps: int,
             queue, w = os.pipe()
             os.write(w, b"".join(k.to_bytes(4, "little") for k in range(0, n, per)))
             os.close(w)  # so that reading the empty queue returns EOF
-            children = [_fork(lambda: sums(claimed(queue, per), array("d")))
+            children = [_fork(lambda: sums(claimed(), array("d")))
                         for _ in range(workers - 1)]
-        sums(range(n) if queue is None else claimed(queue, per), got)
+        sums(range(n) if queue is None else claimed(), got)
         for child in filter(None, children):
             raw = child[1].read()  # whole records only: a child may die writing
             got.frombytes(raw[:len(raw) - len(raw) % (8 * rec)])

@@ -529,7 +529,7 @@ def test_a_later_fault_claimed_by_this_process_is_not_the_one_reported(cpus, mon
 class _TornPipe:
     """A child's pipe that takes its records but the last 20 bytes, then dies."""
 
-    def __init__(self, fd: int, mode: str):
+    def __init__(self, fd: int):
         self.fd = fd
 
     def __enter__(self):
@@ -561,7 +561,7 @@ def test_a_child_that_dies_at_any_point_is_summed_again(death, cpus, monkeypatch
     monkeypatch.setattr(os, "read", claim)
     if death == "while_writing":
         monkeypatch.setattr(module, "open", lambda fd, mode: (
-            open(fd, mode) if os.getpid() == parent else _TornPipe(fd, mode)), raising=False)
+            open(fd, mode) if os.getpid() == parent else _TornPipe(fd)), raising=False)
     for k in (2, 4):
         cpus(k)
         assert integrate(F, path, STEPS).value == want
