@@ -4,6 +4,7 @@ and a branch-tracked variant for ln on in-slice paths.
 """
 
 import math
+import mmap
 import os
 import select
 import signal
@@ -12,7 +13,7 @@ import threading
 from array import array
 from dataclasses import dataclass, field
 from operator import sub
-from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .differential import _differential, _differential_columns
 from .errors import (DegenerateSliceError, DomainError, MissingReferenceError, QintError,
@@ -191,29 +192,6 @@ def _workers(chunks: int) -> int:
     return min(len(os.sched_getaffinity(0)), chunks)
 
 
-def _fork(work: Callable[[], array]) -> tuple[int, BinaryIO] | None:
-    """Run work() in a forked child that writes its array to a pipe as raw
-    doubles, or nothing if it fails, and exits at once. Returns (pid, the
-    pipe's read end), or None when no child can be started."""
-    r, w = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:  # no process to spare: the claims are left to the others
-        os.close(r)
-        os.close(w)
-        return None
-    if pid == 0:  # the child: no exception, output or exit handler of its own
-        status = 1
-        try:
-            with open(w, "wb") as pipe:
-                pipe.write(work())
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(w)  # else a later child would hold it open, and the read see no end
-    return pid, open(r, "rb")
-
-
 def _staircase_sum(walk: Callable[[int], Sequence[Sequence[float]]], steps: int,
                    lag: float, width: int) -> list[float]:
     """The column sums of walk(first), one chunk's width columns of terms,
@@ -223,65 +201,75 @@ def _staircase_sum(walk: Callable[[int], Sequence[Sequence[float]]], steps: int,
     terms only. With one chunk it is _pairs' value bit for bit.
 
     Chunks are shared with forked children (see _workers) through a queue:
-    a pipe of 4-byte claims, at most select.PIPE_BUF bytes, closed for
-    writing before the first fork. Each process sums one claim's chunks at a
-    time until the queue is empty, so a faster CPU sums more; a child writes
-    back (chunk index, pairs) records as raw doubles. A fault empties the
-    queue. This process then adds the pairs in s order, and sums itself any
-    chunk nobody sent (one that faulted, or whose child died or was not
-    forked), so a fault is always raised here, by the first faulty chunk
-    along the path, with the fold's own type, message and s; a total out of
-    range is named by its chunk's last s. Only this process waits, on each
-    child's pipe to its end; every child is reaped on exit.
+    a pipe of 4-byte claims, written whole before the first fork and closed
+    for writing. Nothing reads it yet, so it must fit select.PIPE_BUF bytes,
+    the least buffer POSIX grants a pipe (4096 for a Linux user past
+    pipe-user-pages-soft), or the write would block for ever. Each process
+    sums one claim's chunks at a time until the queue is empty, so a faster
+    CPU sums more. Each chunk's pairs go into its slot of one block shared
+    by all the processes, and then a mark of its own is set: a NaN in their
+    place would not do, as a copy cut short can leave a wrong finite double.
+    A fault empties the queue. This process then waits for every child,
+    which ends once the queue is empty, adds the slots' pairs in s order,
+    and sums itself any chunk whose slot is unmarked (one that faulted, or
+    whose child died or was not forked), so a fault is always raised here,
+    by the first faulty chunk along the path, with the fold's own type,
+    message and s; a total out of range is named by its chunk's last s.
     """
     inv = 1.0 / steps
     firsts = range(1, steps + 1, _SUM_CHUNK)  # each chunk's first step
-    n, rec = len(firsts), 1 + 2 * width  # a chunk's record: its index, then its pairs
+    n, size = len(firsts), 1 + 2 * width  # a chunk's slot: its mark, then its pairs
+    slots = memoryview(mmap.mmap(-1, 8 * size * n)).cast("d")  # all zero: none marked
 
     def chunk(k: int) -> list[tuple[float, float]]:
         first = firsts[k]
         return _pairs(walk(first), lambda i: (first + i - lag) * inv)
 
     def claimed() -> Iterator[int]:  # the chunks of each claim read from the queue
-        while record := os.read(queue, 4):  # a claim's first chunk
-            yield from range(n)[int.from_bytes(record, "little"):][:per]
+        while claim := os.read(queue, 4):  # a claim's first chunk
+            yield from range(n)[int.from_bytes(claim, "little"):][:per]
 
-    def sums(chunks: Iterable[int], out: array) -> array:  # records, up to the first fault
+    def sums(chunks: Iterable[int]) -> None:  # into their slots, up to the first fault
         try:
             for k in chunks:
-                out.extend([k, *(x for pair in chunk(k) for x in pair)])
+                slots[k * size + 1:(k + 1) * size] = array("d", [x for p in chunk(k) for x in p])
+                slots[k * size] = 1.0  # marked only once its pairs are whole
         except Exception:  # summed again below, where it raises unless an earlier chunk does,
             if queue is not None:  # so no claim still queued, all past it, is needed: drop them
                 os.read(queue, select.PIPE_BUF)
-        return out
 
-    got, children, queue, workers = array("d"), [], None, _workers(n)
+    pids, queue, workers = [], None, _workers(n)
     try:
         if workers > 1:
-            per = -(-n // (select.PIPE_BUF // 4))  # chunks per claim: one atomic write
+            per = -(-n // (select.PIPE_BUF // 4))  # chunks per claim: the queue must fit PIPE_BUF
             queue, w = os.pipe()
             os.write(w, b"".join(k.to_bytes(4, "little") for k in range(0, n, per)))
             os.close(w)  # so that reading the empty queue returns EOF
-            children = [_fork(lambda: sums(claimed(), array("d")))
-                        for _ in range(workers - 1)]
-        sums(range(n) if queue is None else claimed(), got)
-        for child in filter(None, children):
-            raw = child[1].read()  # whole records only: a child may die writing
-            got.frombytes(raw[:len(raw) - len(raw) % (8 * rec)])
+            for _ in range(workers - 1):
+                try:
+                    pid = os.fork()
+                except OSError:  # no process to spare: the claims are left to the others
+                    break
+                if pid == 0:  # the child: no exception, output or exit handler of its own
+                    try:
+                        sums(claimed())
+                    finally:
+                        os._exit(0)
+                pids.append(pid)
+        sums(range(n) if queue is None else claimed())
+    except BaseException:  # the children's sums will not be read
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
     finally:
         if queue is not None:
             os.close(queue)
-        for child in filter(None, children):
-            os.kill(child[0], signal.SIGKILL)  # no effect on a child that has finished
-            child[1].close()
-            os.waitpid(child[0], 0)
-    where = array("q", [-1]) * n  # each chunk's record in got
-    for o in range(0, len(got), rec):
-        where[int(got[o])] = o
+        for pid in pids:  # each ends once the queue is empty
+            os.waitpid(pid, 0)
     total = None
     for k, first in enumerate(firsts):
-        o = where[k]
-        pairs = list(zip(got[o + 1:o + rec:2], got[o + 2:o + rec:2])) if o >= 0 else chunk(k)
+        slot = slots[k * size:(k + 1) * size]
+        pairs = list(zip(slot[1::2], slot[2::2])) if slot[0] else chunk(k)
         last = min(first + _SUM_CHUNK, steps + 1) - 1  # the chunk's last step
         total = pairs if total is None else _add(total, pairs, (last - lag) * inv)
     return [hi for hi, _ in total]
@@ -307,10 +295,11 @@ def integrate(F: AnalyticFunction, path: Path, steps: int,
     (_columns) where every evaluation point has _TINY_R <= r < inf; any other
     chunk, or one whose column kernel raises, takes the row walk
     (_staircase), which gives the same terms and names the s at fault. Where
-    os.fork exists, the chunks of a staircase of several are claimed one by
-    one by a process per CPU this process may run on; the chunk sums are
-    added in s order, so the value is the same on any machine and whichever
-    process summed which chunk, and a failure is the first one along the path.
+    os.fork exists, a process per CPU this process may run on claims the
+    chunks of a staircase of several one by one, and writes each one's sums
+    into the chunk's slot of one shared block. The slots are added in s
+    order, so the value is the same on any machine and whichever process
+    summed which chunk, and a failure is the first one along the path.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")

@@ -2,6 +2,7 @@ import errno
 import math
 import os
 import random
+import select
 import sys
 import threading
 import time
@@ -526,29 +527,40 @@ def test_a_later_fault_claimed_by_this_process_is_not_the_one_reported(cpus, mon
         assert_no_child_left()
 
 
-class _TornPipe:
-    """A child's pipe that takes its records but the last 20 bytes, then dies."""
+class _TornSlots:
+    """The staircase's block of slots. Its first write in this process waits, so
+    that the children claim chunks; a child writes half of a chunk's pairs into
+    the chunk's slot, notes the tear and dies before the mark."""
 
-    def __init__(self, fd: int):
-        self.fd = fd
+    def __init__(self, block, parent: int, tears: int):
+        self.view, self.parent, self.tears, self.waited = memoryview(block), parent, tears, False
 
-    def __enter__(self):
+    def cast(self, fmt):
+        self.view = self.view.cast(fmt)
         return self
 
-    def __exit__(self, *exc):
-        return False
+    def __getitem__(self, i):
+        return self.view[i]
 
-    def write(self, records):
-        os.write(self.fd, bytes(records)[:-20])
-        os._exit(1)
+    def __setitem__(self, i, x):
+        if os.getpid() == self.parent and not self.waited:
+            self.waited = True
+            time.sleep(0.2)
+        elif os.getpid() != self.parent and isinstance(i, slice):
+            half = len(x) // 2
+            self.view[i.start:i.start + half] = x[:half]
+            os.write(self.tears, b"t")
+            os._exit(1)
+        self.view[i] = x
 
 
 @FORKS
 @pytest.mark.parametrize("death", ["before_claiming", "after_claiming", "while_writing"])
-def test_a_child_that_dies_at_any_point_is_summed_again(death, cpus, monkeypatch):
+def test_a_child_that_dies_at_any_point_is_summed_again(death, cpus, monkeypatch, tmp_path):
     F, path = NamedFunction("exp"), KERNEL_PATHS["circle"]
     want = Quaternion(*sequential_fold(F, path, STEPS, 1.0))
     parent, read, module = os.getpid(), os.read, sys.modules["qint.integrate"]
+    tears = os.open(tmp_path / "tears", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
 
     def claim(fd, size):  # every claim a child reads goes through here
         if os.getpid() != parent and death == "before_claiming":
@@ -560,12 +572,43 @@ def test_a_child_that_dies_at_any_point_is_summed_again(death, cpus, monkeypatch
 
     monkeypatch.setattr(os, "read", claim)
     if death == "while_writing":
-        monkeypatch.setattr(module, "open", lambda fd, mode: (
-            open(fd, mode) if os.getpid() == parent else _TornPipe(fd)), raising=False)
+        monkeypatch.setattr(module, "memoryview", lambda block: _TornSlots(block, parent, tears),
+                            raising=False)
     for k in (2, 4):
         cpus(k)
+        torn = os.fstat(tears).st_size
         assert integrate(F, path, STEPS).value == want
         assert_no_child_left()
+        assert (os.fstat(tears).st_size > torn) == (death == "while_writing")
+    os.close(tears)
+
+
+@FORKS
+@pytest.mark.parametrize("pipe_buf", [None, 8])
+def test_each_chunk_is_claimed_and_summed_once(pipe_buf, cpus, monkeypatch, tmp_path):
+    # 13 chunks, no fault and no death. A PIPE_BUF of 8 bytes holds two claims, of 7
+    # chunks and 6, as a staircase of more than 1024 chunks has claims of several
+    F, path, steps = NamedFunction("exp"), KERNEL_PATHS["line"], 12305
+    cpus(1)
+    want = integrate(F, path, steps).value
+    module = sys.modules["qint.integrate"]
+    columns, firsts = module._columns, tmp_path / "firsts"
+    log = os.open(firsts, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+
+    def logged(F, path, steps, lag, first):  # every chunk of this staircase goes through here
+        os.write(log, b"%d\n" % first)
+        return columns(F, path, steps, lag, first)
+
+    monkeypatch.setattr(module, "_columns", logged)
+    if pipe_buf is not None:
+        monkeypatch.setattr(select, "PIPE_BUF", pipe_buf)
+    for k in (2, 4):
+        cpus(k)
+        os.ftruncate(log, 0)
+        assert integrate(F, path, steps).value == want
+        assert_no_child_left()
+        assert sorted(map(int, firsts.read_text().split())) == list(range(1, steps + 1, _SUM_CHUNK))
+    os.close(log)
 
 
 @FORKS
