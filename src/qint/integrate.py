@@ -101,6 +101,14 @@ def _located(e: OverflowError | QintError, s: float) -> QintError:
     return e
 
 
+def _at(s: float, f: Callable, *args):
+    """f(*args), a failure raised as _located(e, s)."""
+    try:
+        return f(*args)
+    except (OverflowError, QintError) as e:
+        raise _located(e, s)
+
+
 def endpoint_reference(F: AnalyticFunction, path: Path) -> Quaternion:
     """F(x_b) - F(x_a) by slice evaluation; the closed-form integral value.
 
@@ -112,16 +120,10 @@ def endpoint_reference(F: AnalyticFunction, path: Path) -> Quaternion:
     if not F.single_valued:
         raise MissingReferenceError(
             "endpoint difference is path dependent for a multivalued function")
-    try:
-        start = eval_function(F, path.start)
-    except (OverflowError, QintError) as e:
-        raise _located(e, 0.0)
-    try:
-        ref = eval_function(F, path.end) - start
-        if not all(map(math.isfinite, ref.to_list())):
-            raise OverflowError("endpoint difference out of range")
-    except (OverflowError, QintError) as e:
-        raise _located(e, 1.0)
+    start = _at(0.0, eval_function, F, path.start)
+    ref = _at(1.0, eval_function, F, path.end) - start
+    if not all(map(math.isfinite, ref.to_list())):
+        raise DomainError("overflow (endpoint difference out of range)", s_param=1.0)
     return ref
 
 
@@ -192,13 +194,15 @@ def _workers(chunks: int) -> int:
     return min(len(os.sched_getaffinity(0)), chunks)
 
 
-def _staircase_sum(walk: Callable[[int], Sequence[Sequence[float]]], steps: int,
-                   lag: float, width: int) -> list[float]:
-    """The column sums of walk(first), one chunk's width columns of terms,
-    over all steps: the one staircase sum behind integrate, branch tracking
-    and by-parts. Each chunk of _SUM_CHUNK steps is summed by _pairs, and the
-    chunks' pairs are added by _add in s order, so the value depends on the
-    terms only. With one chunk it is _pairs' value bit for bit.
+def _staircase_sum(term: Callable[..., Sequence[float]], F: AnalyticFunction, path: Path,
+                   steps: int, lag: float, width: int,
+                   columns: Callable | None = None) -> list[float]:
+    """The sums of the width columns of term's rows over all steps: the one
+    staircase sum behind integrate, branch tracking and by-parts. A chunk's
+    columns are columns(F, path, steps, lag, first) where given, else, or
+    where that is None or raises, those of the row walk _staircase(term, ...).
+    Each chunk is summed by _pairs and the pairs added by _add in s order, so
+    the value depends on the terms only; with one chunk it is _pairs' value.
 
     Chunks are shared with forked children (see _workers) through a queue:
     a pipe of 4-byte claims, written whole before the first fork and closed
@@ -223,7 +227,12 @@ def _staircase_sum(walk: Callable[[int], Sequence[Sequence[float]]], steps: int,
 
     def chunk(k: int) -> list[tuple[float, float]]:
         first = firsts[k]
-        return _pairs(walk(first), lambda i: (first + i - lag) * inv)
+        try:
+            by_columns = columns and columns(F, path, steps, lag, first)
+        except (OverflowError, QintError):  # the row walk names the s at fault
+            by_columns = None
+        return _pairs(by_columns or _staircase(term, F, path, steps, lag, first),
+                      lambda i: (first + i - lag) * inv)
 
     def claimed() -> Iterator[int]:  # the chunks of each claim read from the queue
         while claim := os.read(queue, 4):  # a claim's first chunk
@@ -291,15 +300,12 @@ def integrate(F: AnalyticFunction, path: Path, steps: int,
     kernel that equals summing the differential() terms, and a failure names
     the evaluation point's s.
 
-    Steps are summed in chunks of _SUM_CHUNK. A chunk is summed by columns
-    (_columns) where every evaluation point has _TINY_R <= r < inf; any other
-    chunk, or one whose column kernel raises, takes the row walk
-    (_staircase), which gives the same terms and names the s at fault. Where
-    os.fork exists, a process per CPU this process may run on claims the
-    chunks of a staircase of several one by one, and writes each one's sums
-    into the chunk's slot of one shared block. The slots are added in s
-    order, so the value is the same on any machine and whichever process
-    summed which chunk, and a failure is the first one along the path.
+    _staircase_sum sums the terms in chunks of _SUM_CHUNK, shared among the
+    CPUs: by columns (_columns) where every evaluation point has _TINY_R <=
+    r < inf, else by the row walk (_staircase), which gives the same terms
+    and names the s at fault. The value is the same on any machine and
+    whichever process summed which chunk, and a failure is the first one
+    along the path.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -307,15 +313,7 @@ def integrate(F: AnalyticFunction, path: Path, steps: int,
         raise ValueError(f"unknown rule {rule!r}; expected 'left' or 'midpoint'")
     lag = 0.5 if rule == "midpoint" else 1.0
     term = _differential if F.is_entire else _off_axis_differential
-
-    def walk(first: int) -> Sequence[Sequence[float]]:
-        try:
-            columns = _columns(F, path, steps, lag, first)
-        except (OverflowError, QintError):  # the row walk names the s at fault
-            columns = None
-        return columns or _staircase(term, F, path, steps, lag, first)
-
-    value = _staircase_sum(walk, steps, lag, 4)
+    value = _staircase_sum(term, F, path, steps, lag, 4, _columns)
     return _single_report(steps, Quaternion(*value), _try_reference(F, path))
 
 
@@ -444,14 +442,25 @@ def integrate_with_branch_tracking(F: AnalyticFunction, path: Path,
     def to_quaternion(re: float, im: float) -> Quaternion:
         return Quaternion(re, im * u1, im * u2, im * u3)
 
-    try:
-        log_first = math.log(abs(slice_z(*coords(0.0))))
-    except (OverflowError, QintError) as e:
-        raise _located(e, 0.0)
-    re, im, phase = _staircase_sum(lambda first: _staircase(term, F, path, steps, 1.0, first),
-                                   steps, 1.0, 3)
-    try:
-        log_last = math.log(abs(slice_z(*coords(steps * h))))
-    except (OverflowError, QintError) as e:
-        raise _located(e, steps * h)
+    log_first = _at(0.0, lambda: math.log(abs(slice_z(*coords(0.0)))))
+    re, im, phase = _staircase_sum(term, F, path, steps, 1.0, 3)
+    log_last = _at(steps * h, lambda: math.log(abs(slice_z(*coords(steps * h)))))
     return _single_report(steps, to_quaternion(re, im), to_quaternion(log_last - log_first, phase))
+
+
+def _integrate_by_parts(F: AnalyticFunction, G: AnalyticFunction, path: Path,
+                        steps: int) -> IntegrationReport:
+    """The left-rule staircase sum[F dG + (dF) G] as value, against the
+    boundary term F G |_a^b as reference. Order matters: F multiplies from
+    the left in one term and G from the right in the other. A failure names
+    the s of the first node at fault, or 1 for F G at the end."""
+    def term(F, *xd):  # F(x) dG + dF G(x) as a row; xd is x then the chord
+        dF, dG = Quaternion(*_differential(F, *xd)), Quaternion(*_differential(G, *xd))
+        return (Quaternion(*_lift(F.eval_complex, *xd[:4])) * dG
+                + dF * Quaternion(*_lift(G.eval_complex, *xd[:4]))).to_list()
+
+    total = _staircase_sum(term, F, path, steps, 1.0, 4)
+    at_end = _at(1.0, lambda: eval_function(F, path.end) * eval_function(G, path.end))
+    at_start = eval_function(F, path.start) * eval_function(G, path.start)  # the walk's first node
+    boundary = _sum([at_end.to_list(), (-at_start).to_list()], lambda i: 1.0 - i)
+    return _single_report(steps, Quaternion(*total), Quaternion(*boundary))

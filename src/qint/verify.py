@@ -5,17 +5,18 @@ measured residuals, never a bare boolean.
 """
 
 import json
+import math
 import os
 from dataclasses import dataclass, field, fields, replace
 
-from .differential import _differential, differential
+from .differential import differential
+from .errors import DomainError
 from .functions import AnalyticFunction, antiderivative
-from .errors import QintError
-from .integrate import (EXACT_FLOOR, _located, _staircase, _staircase_sum, _sum,
-                        convergence_study, endpoint_reference, integrate)
+from .integrate import (EXACT_FLOOR, _integrate_by_parts, convergence_study,
+                        endpoint_reference, integrate)
 from .paths import Line, Path
 from .quaternion import Quaternion, _finite
-from .slices import _lift, decompose_delta, eval_function
+from .slices import decompose_delta
 
 # Default base point for the indefinite integral in the inverse direction.
 DEFAULT_BASE = Quaternion(1.0, 1.0, 0.0, 0.0)
@@ -146,7 +147,8 @@ def inverse_ftc_residual(F: AnalyticFunction, x: Quaternion, delta: Quaternion,
     G(x+delta) extends G(x)'s path by two legs, the parallel increment first
     and then the perpendicular one. The base leg is computed once and shared
     by both G values, so it cancels up to rounding: ((g + a) + b) - g differs
-    from a + b by about 4e-16 unless x is DEFAULT_BASE, where g = 0.
+    from a + b by about 4e-16 unless x is DEFAULT_BASE, where g = 0. A
+    differential or residual out of range raises DomainError.
     """
     split = decompose_delta(x, delta)
     x_mid = x + split.parallel
@@ -158,7 +160,13 @@ def inverse_ftc_residual(F: AnalyticFunction, x: Quaternion, delta: Quaternion,
     leg_par = integrate(F, Line(x, x_mid), steps).value
     leg_perp = integrate(F, Line(x_mid, x_end), steps).value
     g_x_delta = g_x + leg_par + leg_perp
-    return ((g_x_delta - g_x) - differential(F, x, delta)).norm()
+    try:
+        res = ((g_x_delta - g_x) - differential(F, x, delta)).norm()
+    except OverflowError as e:  # the differential out of range
+        raise DomainError(f"overflow ({e})") from e
+    if not math.isfinite(res):
+        raise DomainError("overflow (residual out of range)")
+    return res
 
 
 def verify_ftc_inverse(F: AnalyticFunction, x: Quaternion, delta: Quaternion,
@@ -175,28 +183,9 @@ def verify_ftc_inverse(F: AnalyticFunction, x: Quaternion, delta: Quaternion,
 
 def by_parts_residual(F: AnalyticFunction, G: AnalyticFunction, path: Path,
                       steps: int) -> tuple[float, Quaternion]:
-    """Residual of sum[F dG + (dF) G] against the boundary term F G |_a^b.
-
-    Both products ride the left-rule staircase kernel at the step's left node;
-    order matters, F multiplies from the left in one term and G from the right
-    in the other. The sum is shared out among CPUs in the same chunks as
-    integrate's, so it is the same on any machine. A failure names the s of
-    the first node at fault.
-    """
-    def term(F, *xd):  # F(x) dG + dF G(x) as a row; xd is x then the chord
-        dF, dG = Quaternion(*_differential(F, *xd)), Quaternion(*_differential(G, *xd))
-        return (Quaternion(*_lift(F.eval_complex, *xd[:4])) * dG
-                + dF * Quaternion(*_lift(G.eval_complex, *xd[:4]))).to_list()
-
-    total = Quaternion(*_staircase_sum(
-        lambda first: _staircase(term, F, path, steps, 1.0, first), steps, 1.0, 4))
-    try:  # the walk evaluated F and G at the start, not at the end
-        at_end = eval_function(F, path.end) * eval_function(G, path.end)
-    except (OverflowError, QintError) as e:
-        raise _located(e, 1.0)
-    at_start = eval_function(F, path.start) * eval_function(G, path.start)
-    boundary = Quaternion(*_sum([at_end.to_list(), (-at_start).to_list()], lambda i: 1.0 - i))
-    return (total - boundary).norm(), boundary
+    """_integrate_by_parts' residual and boundary term F G |_a^b."""
+    report = _integrate_by_parts(F, G, path, steps)
+    return report.abs_error, report.reference
 
 
 def verify_integration_by_parts(F: AnalyticFunction, G: AnalyticFunction, path: Path,

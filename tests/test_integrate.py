@@ -9,7 +9,7 @@ import time
 import tracemalloc
 
 import pytest
-from hypothesis import given, reject, settings, strategies as st
+from hypothesis import example, given, reject, settings, strategies as st
 
 from conftest import (FORKS, FUNCTION_SPECS, PATH_SPECS, POINT_SPECS, assert_close,
                       assert_no_child_left, quaternions)
@@ -21,7 +21,8 @@ from qint import (DegenerateSliceError, DomainError, IntegrationReport, Line,
                   parse_path)
 from qint.functions import AnalyticFunction
 from qint.differential import _differential
-from qint.integrate import _SUM_CHUNK, _add, _off_axis_differential, _pairs, _staircase
+from qint.integrate import (_SUM_CHUNK, _add, _integrate_by_parts, _off_axis_differential, _pairs,
+                            _staircase)
 from qint.suite import catalog_functions, catalog_paths
 from qint.verify import by_parts_residual, inverse_ftc_residual
 
@@ -257,6 +258,53 @@ def test_quadrature_sum_overflow_names_the_stencil_centre():
     with pytest.raises(DomainError, match="overflow") as exc:
         integrate_slice_quadrature(Monomial(1), wide, 1)
     assert exc.value.s_param == 1.0
+
+
+EXP = NamedFunction("exp")
+DISK = PowerSeries((1, 1), radius=1)
+# faults at a path's ends, outside any staircase: (call, type, message, s)
+END_FAULTS = {
+    "reference_start": (lambda: endpoint_reference(EXP, Line(Quaternion(710, 1, 0, 0),
+                                                             Quaternion(0, 1, 0, 0))),
+                        DomainError, "overflow (math range error)", 0.0),
+    "reference_end": (lambda: endpoint_reference(EXP, Line(Quaternion(0, 1, 0, 0),
+                                                           Quaternion(710, 1, 0, 0))),
+                      DomainError, "overflow (math range error)", 1.0),
+    "reference_start_outside_the_disk": (
+        lambda: endpoint_reference(DISK, Line(Quaternion(2, 1, 0, 0), Quaternion(0, 0.1, 0, 0))),
+        DomainError, "|z| = 2.23606797749979 outside radius of convergence 1", 0.0),
+    "reference_end_outside_the_disk": (
+        lambda: endpoint_reference(DISK, Line(Quaternion(0, 0.1, 0, 0), Quaternion(2, 1, 0, 0))),
+        DomainError, "|z| = 2.23606797749979 outside radius of convergence 1", 1.0),
+    # both ends are finite, their difference is not
+    "reference_difference": (
+        lambda: endpoint_reference(Monomial(1), Line(Quaternion(-HUGE, 1, 0, 0),
+                                                     Quaternion(HUGE, 1, 0, 0))),
+        DomainError, "overflow (endpoint difference out of range)", 1.0),
+    "branch_first_point": (
+        lambda: integrate_with_branch_tracking(LN, Line(Quaternion(0, 0, 0, 0),
+                                                        Quaternion(1, 1, 0, 0)), 10),
+        DomainError, "path passes through 0, where ln is singular", 0.0),
+    # every step's t = dz/z is finite; |z| at the last point is not. Its s is
+    # steps * (1/steps), which is 1 - 2**-53 at 49 steps
+    "branch_last_point": (
+        lambda: integrate_with_branch_tracking(LN, Line(Quaternion(1, 1, 0, 0),
+                                                        Quaternion(HUGE, HUGE, 0, 0)), 49),
+        DomainError, "overflow (absolute value too large)", 1 - 2 ** -53),
+    # the walk stops at the last left node, w = 709; exp(710) at the end overflows
+    "by_parts_end": (
+        lambda: _integrate_by_parts(EXP, PowerSeries((1.0,)), Line(Quaternion(700, 1, 0, 0),
+                                                                   Quaternion(710, 1, 0, 0)), 10),
+        DomainError, "overflow (math range error)", 1.0),
+}
+
+
+@pytest.mark.parametrize("fault", list(END_FAULTS))
+def test_end_faults_name_their_end(fault):
+    call, kind, message, s = END_FAULTS[fault]
+    with pytest.raises(QintError) as exc:
+        call()
+    assert (type(exc.value), str(exc.value), exc.value.s_param) == (kind, message, s)
 
 
 def trapezoid_of_central_differences(F, path, n):
@@ -648,6 +696,10 @@ LN = NamedFunction("ln")
 @settings(max_examples=150, deadline=None)
 @given(FUNCTION_SPECS, FUNCTION_SPECS, PATH_SPECS, POINT_SPECS, POINT_SPECS,
        st.integers(1, 64))
+# the differential of ln1m at x, applied to delta, is past the largest double
+@example({"kind": "named", "name": "ln1m"}, {"kind": "named", "name": "exp"},
+         {"kind": "line", "a": [0.0, 1.0, 0.0, 0.0], "b": [1.0, 1.0, 0.0, 0.0]},
+         [2.0, 0.0, 0.0, 8.44e-157], [0.0, 0.0, 1e300, 1e300], 1)
 def test_library_contract_holds_for_generated_specs(f, g, p, x, d, steps):
     # every returned number is finite, or a QintError names the s at fault;
     # inverse_ftc_residual takes points, not a path, so it may raise without s.

@@ -6,9 +6,9 @@ import pytest
 from conftest import FORKS, assert_no_child_left
 from qint import (CheckReport, DomainError, Line, Monomial, NamedFunction,
                   PolyLine, PowerSeries, Quaternion, SliceCircle, Tolerances,
-                  UnitImaginary, UnsupportedFunctionError, inverse_ftc_residual,
-                  tolerances_from_env, verify_antiderivative_map, verify_ftc_forward,
-                  verify_ftc_inverse, verify_integration_by_parts)
+                  UnitImaginary, UnsupportedFunctionError, differential, eval_function,
+                  inverse_ftc_residual, tolerances_from_env, verify_antiderivative_map,
+                  verify_ftc_forward, verify_ftc_inverse, verify_integration_by_parts)
 from qint.suite import catalog_functions, catalog_paths
 from qint.verify import by_parts_residual
 
@@ -130,6 +130,20 @@ class TestFtcInverse:
         res = inverse_ftc_residual(X2, DEFAULT_BASE, Quaternion(0, 0, 0.01, 0), 1000)
         assert res <= 1e-3
 
+    @pytest.mark.parametrize("F,x,delta,message", [
+        # the differential of ln1m a hair off the real axis, applied to 1e300
+        (NamedFunction("ln1m"), Quaternion(2, 0, 0, 8.44e-157), Quaternion(0, 0, 1e300, 1e300),
+         "overflow (differential out of range)"),
+        # every staircase, the differential and each component of their difference
+        # are finite; its norm is not
+        (X2, Quaternion(0, 0, -1e154, 0), Quaternion(-7e153, 1e154, 7e153, 1e154),
+         "overflow (residual out of range)"),
+    ])
+    def test_out_of_range_is_a_domain_error(self, F, x, delta, message):
+        with pytest.raises(DomainError) as exc:
+            inverse_ftc_residual(F, x, delta, 1)
+        assert str(exc.value) == message
+
     def test_residual_shrinks_quadratically_in_delta(self):
         x = Quaternion(1, 1, 0, 0)
         rs = [inverse_ftc_residual(X3, x, Quaternion(0, 0, m, 0), 4000)
@@ -202,6 +216,25 @@ class TestByParts:
             cpus(k)
             res, boundary = by_parts_residual(X, X, path, steps)
             assert abs(res - want) <= 1e-13 * max(1.0, boundary.norm())
+
+    @pytest.mark.parametrize("steps", [1000, 1024])
+    @pytest.mark.parametrize("pair", [("x^2", "x"), ("exp", "sin"), ("x", "x"), ("x^3", "cos")])
+    def test_one_chunk_equals_its_public_operator_sum(self, pair, steps):
+        # one chunk is one math.fsum per component of F(x) dG + dF G(x), with
+        # x = x_{n-1} and the chord x_n - x_{n-1} at the walk's s = n * (1/N)
+        F, G = (catalog_functions()[name] for name in pair)
+        h = 1.0 / steps
+        for path in catalog_paths().values():
+            terms = []
+            for n in range(1, steps + 1):
+                x = path.point((n - 1) * h)
+                d = path.point(n * h) - x
+                terms.append((eval_function(F, x) * differential(G, x, d)
+                              + differential(F, x, d) * eval_function(G, x)).to_list())
+            total = Quaternion(*map(math.fsum, zip(*terms)))
+            boundary = (eval_function(F, path.end) * eval_function(G, path.end)
+                        - eval_function(F, path.start) * eval_function(G, path.start))
+            assert by_parts_residual(F, G, path, steps) == ((total - boundary).norm(), boundary)
 
     @FORKS
     def test_residual_does_not_depend_on_the_worker_count(self, cpus):
