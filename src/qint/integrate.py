@@ -343,7 +343,7 @@ def integrate_slice_quadrature(F: AnalyticFunction, path: Path, steps: int) -> I
                 _check_axis(x1, x2, x3)
             g.append(_lift(F.eval_complex, w, x1, x2, x3))
     except (OverflowError, QintError) as e:
-        raise _located(e, k * h)
+        raise _located(e, k * h if k < steps else 1.0)
     if steps == 1:
         rows, at = [[-c for c in g[0]], g[1]], [0.0, 1.0]
     else:
@@ -444,7 +444,7 @@ def integrate_with_branch_tracking(F: AnalyticFunction, path: Path,
 
     log_first = _at(0.0, lambda: math.log(abs(slice_z(*coords(0.0)))))
     re, im, phase = _staircase_sum(term, F, path, steps, 1.0, 3)
-    log_last = _at(steps * h, lambda: math.log(abs(slice_z(*coords(steps * h)))))
+    log_last = _at(1.0, lambda: math.log(abs(slice_z(*coords(steps * h)))))
     return _single_report(steps, to_quaternion(re, im), to_quaternion(log_last - log_first, phase))
 
 

@@ -28,10 +28,6 @@ RNG_SEED = 20260825
 _SQ3 = math.sqrt(3.0)
 
 
-def _q(w=0.0, x1=0.0, x2=0.0, x3=0.0) -> Quaternion:
-    return Quaternion(w, x1, x2, x3)
-
-
 def catalog_functions() -> dict[str, AnalyticFunction]:
     """Polynomials through cubic plus the entire elementary trio."""
     return {
@@ -59,12 +55,12 @@ def _slice_arc(a_xi0: float, b_xi0: float, waypoints: int = 257) -> PolyLine:
 def catalog_paths() -> dict[str, Path]:
     """Three lines, one polyline, one in-slice circle; all within norm ~3."""
     return {
-        "line_j_step": Line(_q(1, 1), _q(1, 1, 1)),          # 1+i -> 1+i+j
-        "line_cross_slice": Line(_q(1, 1), _q(0.5, 0, 1)),   # 1+i -> 1/2+j
-        "line_from_zero": Line(_q(), _q(1, 1, 1)),           # 0 -> 1+i+j
-        "polyline_bent": PolyLine((_q(1, 1), _q(0.9, 0.5, 0.5), _q(0.7, 0.2, 0.8),
-                                   _q(0.5, 0, 1))),
-        "circle_real_center": SliceCircle(2.0, 1.0, UnitImaginary(_q(0, 1)), 1.0),
+        "line_j_step": Line(Quaternion(1, 1), Quaternion(1, 1, 1)),         # 1+i -> 1+i+j
+        "line_cross_slice": Line(Quaternion(1, 1), Quaternion(0.5, 0, 1)),  # 1+i -> 1/2+j
+        "line_from_zero": Line(Quaternion(), Quaternion(1, 1, 1)),          # 0 -> 1+i+j
+        "polyline_bent": PolyLine((Quaternion(1, 1), Quaternion(0.9, 0.5, 0.5),
+                                   Quaternion(0.7, 0.2, 0.8), Quaternion(0.5, 0, 1))),
+        "circle_real_center": SliceCircle(2.0, 1.0, UnitImaginary(Quaternion(0, 1)), 1.0),
     }
 
 
@@ -120,23 +116,20 @@ def check_path_independence(tol: Tolerances) -> CheckReport:
     for i in range(len(names)):
         for j in range(i + 1, len(names)):
             residuals.append((values[names[i]] - values[names[j]]).norm())
-    return CheckReport(
-        check="path_independence", passed=all(r <= tol.path_independence for r in residuals),
-        residuals=residuals, tolerance=tol.path_independence,
-        config={"function": F.to_json(), "steps": n, "paths": list(names),
-                "reference": ref.to_list()})
+    return CheckReport.within(
+        "path_independence", residuals, tol.path_independence,
+        {"function": F.to_json(), "steps": n, "paths": list(names),
+         "reference": ref.to_list()})
 
 
 def check_closed_loop(tol: Tolerances) -> CheckReport:
     """A cubic around a full in-slice circle integrates to zero."""
     path = catalog_paths()["circle_real_center"]
     n = 10_000
-    value = integrate(Monomial(3), path, n).value
-    res = value.norm()
-    return CheckReport(
-        check="closed_loop_zero", passed=res <= tol.closed_loop, residuals=[res],
-        tolerance=tol.closed_loop,
-        config={"function": Monomial(3).to_json(), "path": path.to_json(), "steps": n})
+    res = integrate(Monomial(3), path, n).value.norm()
+    return CheckReport.within(
+        "closed_loop_zero", [res], tol.closed_loop,
+        {"function": Monomial(3).to_json(), "path": path.to_json(), "steps": n})
 
 
 def check_winding(tol: Tolerances) -> CheckReport:
@@ -145,9 +138,9 @@ def check_winding(tol: Tolerances) -> CheckReport:
     F = NamedFunction("ln")
     n = 10_000
     directions = {
-        "i": UnitImaginary(_q(0, 1)),
-        "j": UnitImaginary(_q(0, 0, 1)),
-        "diag": UnitImaginary(_q(0, 1 / _SQ3, 1 / _SQ3, 1 / _SQ3)),
+        "i": UnitImaginary(Quaternion(0, 1)),
+        "j": UnitImaginary(Quaternion(0, 0, 1)),
+        "diag": UnitImaginary(Quaternion(0, 1 / _SQ3, 1 / _SQ3, 1 / _SQ3)),
     }
     residuals = []
     combos = []
@@ -158,11 +151,10 @@ def check_winding(tol: Tolerances) -> CheckReport:
             expected = u.scaled(2.0 * math.pi * m)
             residuals.append((value - expected).norm() / max(1.0, abs(m)))
             combos.append([dname, m])
-    return CheckReport(
-        check="log_winding", passed=all(r <= tol.winding for r in residuals),
-        residuals=residuals, tolerance=tol.winding,
-        config={"steps": n, "combos": combos,
-                "note": "residuals divided by max(1, |turns|)"})
+    return CheckReport.within(
+        "log_winding", residuals, tol.winding,
+        {"steps": n, "combos": combos,
+         "note": "residuals divided by max(1, |turns|)"})
 
 
 def check_by_parts(tol: Tolerances) -> CheckReport:
@@ -174,21 +166,20 @@ def check_by_parts(tol: Tolerances) -> CheckReport:
     for F, G in pairs:
         rep = verify_integration_by_parts(F, G, path, n, tol)
         residuals.extend(rep.residuals)
-    return CheckReport(
-        check="integration_by_parts", passed=all(r <= tol.by_parts for r in residuals),
-        residuals=residuals, tolerance=tol.by_parts,
-        config={"pairs": [[F.to_json(), G.to_json()] for F, G in pairs],
-                "path": path.to_json(), "steps": n})
+    return CheckReport.within(
+        "integration_by_parts", residuals, tol.by_parts,
+        {"pairs": [[F.to_json(), G.to_json()] for F, G in pairs],
+         "path": path.to_json(), "steps": n})
 
 
 def check_inverse_ftc(tol: Tolerances) -> CheckReport:
     """Differencing the indefinite staircase integral of x^3 returns its
     differential, with the residual shrinking quadratically in |delta|."""
     F = Monomial(3)
-    x = _q(1, 1)
+    x = Quaternion(1, 1)
     n = 10_000
     mags = [1e-2, 5e-3, 2.5e-3]
-    residuals = [inverse_ftc_residual(F, x, _q(0, 0, m), n) for m in mags]
+    residuals = [inverse_ftc_residual(F, x, Quaternion(0, 0, m), n) for m in mags]
     slope = _fit_slope([math.log(m) for m in mags], [math.log(r) for r in residuals])
     ok = residuals[0] <= tol.inverse_ftc and abs(slope - 2.0) <= tol.slope_two_tol
     return CheckReport(
@@ -198,17 +189,16 @@ def check_inverse_ftc(tol: Tolerances) -> CheckReport:
                 "slope_target": [2.0, tol.slope_two_tol]})
 
 
-def _random_point(rng: random.Random, span: float, min_r: float) -> Quaternion:
-    while True:
-        x = Quaternion(rng.uniform(-span, span), rng.uniform(-span, span),
-                       rng.uniform(-span, span), rng.uniform(-span, span))
-        if x.imag_norm() > min_r:
-            return x
-
-
 def _random_delta(rng: random.Random, span: float = 1.0) -> Quaternion:
     return Quaternion(rng.uniform(-span, span), rng.uniform(-span, span),
                       rng.uniform(-span, span), rng.uniform(-span, span))
+
+
+def _random_point(rng: random.Random, span: float, min_r: float) -> Quaternion:
+    while True:
+        x = _random_delta(rng, span)
+        if x.imag_norm() > min_r:
+            return x
 
 
 def check_exact_identities(tol: Tolerances) -> CheckReport:
@@ -261,28 +251,26 @@ def check_exact_identities(tol: Tolerances) -> CheckReport:
                 (full - Quaternion(scalar, 0.0, 0.0, 0.0)).norm())
 
     residuals = list(worst.values())
-    return CheckReport(
-        check="exact_identities", passed=all(r <= tol.algebraic for r in residuals),
-        residuals=residuals, tolerance=tol.algebraic,
-        config={"families": list(worst), "seed": RNG_SEED,
-                "samples": {"sym_product": 100, "leibniz": 20, "delta_split": 100,
-                            "conjugate_quotient": 50}})
+    return CheckReport.within(
+        "exact_identities", residuals, tol.algebraic,
+        {"families": list(worst), "seed": RNG_SEED,
+         "samples": {"sym_product": 100, "leibniz": 20, "delta_split": 100,
+                     "conjugate_quotient": 50}})
 
 
 def check_antiderivative(tol: Tolerances) -> CheckReport:
     """Lifting t^2 -> t^3/3 and cos -> sin to the staircase integral."""
-    path = Line(_q(0, 1), _q(0, 0, 1))  # i -> j
+    path = Line(Quaternion(0, 1), Quaternion(0, 0, 1))  # i -> j
     n = 10_000
     reports = [
         verify_antiderivative_map(PowerSeries((0.0, 0.0, 1.0)), path, n, tol),
         verify_antiderivative_map(NamedFunction("cos"), path, n, tol),
     ]
     residuals = [r for rep in reports for r in rep.residuals]
-    return CheckReport(
-        check="antiderivative_map", passed=all(r <= tol.antiderivative for r in residuals),
-        residuals=residuals, tolerance=tol.antiderivative,
-        config={"integrands": ["t^2 series", "cos"], "path": path.to_json(),
-                "steps": n})
+    return CheckReport.within(
+        "antiderivative_map", residuals, tol.antiderivative,
+        {"integrands": ["t^2 series", "cos"], "path": path.to_json(),
+         "steps": n})
 
 
 def check_mutual_oracle(tol: Tolerances) -> CheckReport:
@@ -300,10 +288,9 @@ def check_mutual_oracle(tol: Tolerances) -> CheckReport:
             b = integrate_slice_quadrature(F, path, n).value
             residuals.append((a - b).norm())
             pairs.append([fname, pname])
-    return CheckReport(
-        check="mutual_oracle", passed=all(r <= tol.mutual_oracle for r in residuals),
-        residuals=residuals, tolerance=tol.mutual_oracle,
-        config={"steps": n, "pairs": pairs})
+    return CheckReport.within(
+        "mutual_oracle", residuals, tol.mutual_oracle,
+        {"steps": n, "pairs": pairs})
 
 
 def check_ftc_catalog(tol: Tolerances) -> CheckReport:
@@ -351,25 +338,24 @@ def check_rule_upgrade(tol: Tolerances) -> CheckReport:
 def check_winding_additivity(tol: Tolerances) -> CheckReport:
     """m turns integrate to m times one turn, for m in {-2, -1, 1, 2}."""
     F = NamedFunction("ln")
-    u = UnitImaginary(_q(0, 1))
+    u = UnitImaginary(Quaternion(0, 1))
     n = 10_000
     one = integrate_with_branch_tracking(F, SliceCircle(0.0, 1.0, u, 1.0), n).value
     residuals = []
     for m in (-2, -1, 1, 2):
         vm = integrate_with_branch_tracking(F, SliceCircle(0.0, 1.0, u, float(m)), n).value
         residuals.append((vm - float(m) * one).norm() / max(1.0, abs(m)))
-    return CheckReport(
-        check="winding_additivity", passed=all(r <= tol.winding for r in residuals),
-        residuals=residuals, tolerance=tol.winding,
-        config={"steps": n, "turns": [-2, -1, 1, 2],
-                "note": "residuals divided by max(1, |turns|)"})
+    return CheckReport.within(
+        "winding_additivity", residuals, tol.winding,
+        {"steps": n, "turns": [-2, -1, 1, 2],
+         "note": "residuals divided by max(1, |turns|)"})
 
 
 def check_remainder_slope(tol: Tolerances) -> CheckReport:
     """|F(x+h d) - F(x) - differential(F, x, h d)| shrinks like h^2."""
     F = NamedFunction("exp")
-    x = _q(1, 1)
-    d = _q(0.2, 0.3, 1.0, -0.4)
+    x = Quaternion(1, 1)
+    d = Quaternion(0.2, 0.3, 1.0, -0.4)
     hs = [1e-2 * 0.5 ** k for k in range(11)]  # down to ~1e-5
     rems = []
     for h in hs:

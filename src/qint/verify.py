@@ -106,6 +106,12 @@ class CheckReport:
     tolerance: float
     config: dict = field(default_factory=dict)
 
+    @classmethod
+    def within(cls, check: str, residuals: list[float], tolerance: float,
+               config: dict) -> "CheckReport":
+        """The report of a check that passes when every residual is <= tolerance."""
+        return cls(check, all(r <= tolerance for r in residuals), residuals, tolerance, config)
+
     def to_json(self) -> dict:
         return {"check": self.check, "pass": self.passed,
                 "residuals": self.residuals, "tolerance": self.tolerance,
@@ -174,11 +180,10 @@ def verify_ftc_inverse(F: AnalyticFunction, x: Quaternion, delta: Quaternion,
     """Differencing the staircase integral recovers the differential."""
     tol = tol or Tolerances()
     res = inverse_ftc_residual(F, x, delta, steps)
-    return CheckReport(
-        check="ftc_inverse", passed=res <= tol.inverse_ftc, residuals=[res],
-        tolerance=tol.inverse_ftc,
-        config={"function": F.to_json(), "x": x.to_list(), "delta": delta.to_list(),
-                "steps": steps, "base": DEFAULT_BASE.to_list()})
+    return CheckReport.within(
+        "ftc_inverse", [res], tol.inverse_ftc,
+        {"function": F.to_json(), "x": x.to_list(), "delta": delta.to_list(),
+         "steps": steps, "base": DEFAULT_BASE.to_list()})
 
 
 def by_parts_residual(F: AnalyticFunction, G: AnalyticFunction, path: Path,
@@ -192,11 +197,10 @@ def verify_integration_by_parts(F: AnalyticFunction, G: AnalyticFunction, path: 
                                 steps: int, tol: Tolerances | None = None) -> CheckReport:
     tol = tol or Tolerances()
     res, boundary = by_parts_residual(F, G, path, steps)
-    return CheckReport(
-        check="integration_by_parts", passed=res <= tol.by_parts, residuals=[res],
-        tolerance=tol.by_parts,
-        config={"F": F.to_json(), "G": G.to_json(), "path": path.to_json(),
-                "steps": steps, "boundary": boundary.to_list()})
+    return CheckReport.within(
+        "integration_by_parts", [res], tol.by_parts,
+        {"F": F.to_json(), "G": G.to_json(), "path": path.to_json(),
+         "steps": steps, "boundary": boundary.to_list()})
 
 
 def verify_antiderivative_map(f: AnalyticFunction, path: Path, steps: int,
@@ -208,8 +212,7 @@ def verify_antiderivative_map(f: AnalyticFunction, path: Path, steps: int,
     ref = endpoint_reference(h, path)
     rep = integrate(h, path, steps)
     res = (rep.value - ref).norm()
-    return CheckReport(
-        check="antiderivative_map", passed=res <= tol.antiderivative, residuals=[res],
-        tolerance=tol.antiderivative,
-        config={"integrand": f.to_json(), "antiderivative": h.to_json(),
-                "path": path.to_json(), "steps": steps, "reference": ref.to_list()})
+    return CheckReport.within(
+        "antiderivative_map", [res], tol.antiderivative,
+        {"integrand": f.to_json(), "antiderivative": h.to_json(),
+         "path": path.to_json(), "steps": steps, "reference": ref.to_list()})

@@ -86,8 +86,10 @@ def test_real_axis_reduces_to_ordinary_derivative():
         d = Quaternion(dw, 0, 0, 0)
         got = differential(NamedFunction("exp"), x, d)
         assert_close(got, Quaternion(math.exp(xw) * dw, 0, 0, 0), 1e-12)
+        assert differential_reference(NamedFunction("exp"), x, d) == got
         got = differential(Monomial(3), x, d)
         assert_close(got, Quaternion(3 * xw * xw * dw, 0, 0, 0), 1e-12)
+        assert differential_reference(Monomial(3), x, d) == got
 
 
 def test_real_axis_limit_applies_to_any_delta():

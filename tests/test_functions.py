@@ -88,6 +88,8 @@ def test_ln_principal_branch_and_cut():
             NamedFunction("ln").eval_complex(z)
         with pytest.raises(DomainError):
             NamedFunction("ln").deriv_complex(z)
+    with pytest.raises(DomainError, match=r"ln\(1 - x\) is undefined on the branch cut"):
+        NamedFunction("ln1m").deriv_complex(2 + 0j)
 
 
 def test_reciprocal_pole():
@@ -124,6 +126,7 @@ def test_antiderivative_named_rules():
         h = antiderivative(f)
         assert h.eval_complex(z) == pytest.approx(expected.eval_complex(z))
         assert h.deriv_complex(z) == pytest.approx(f.eval_complex(z))
+    assert antiderivative(Scaled(NamedFunction("cos"), 2.0)) == Scaled(NamedFunction("sin"), 2.0)
     # 1/(1-x) integrates to -ln(1-x)
     h = antiderivative(NamedFunction("reciprocal"))
     assert h.eval_complex(z) == pytest.approx(-cmath.log(1 - z))

@@ -285,12 +285,17 @@ END_FAULTS = {
         lambda: integrate_with_branch_tracking(LN, Line(Quaternion(0, 0, 0, 0),
                                                         Quaternion(1, 1, 0, 0)), 10),
         DomainError, "path passes through 0, where ln is singular", 0.0),
-    # every step's t = dz/z is finite; |z| at the last point is not. Its s is
-    # steps * (1/steps), which is 1 - 2**-53 at 49 steps
+    # every step's t = dz/z is finite; |z| at the last point is not. The point
+    # is coords(steps * (1/steps)), 1 - 2**-53 at 49 steps, but the end is s = 1
     "branch_last_point": (
         lambda: integrate_with_branch_tracking(LN, Line(Quaternion(1, 1, 0, 0),
                                                         Quaternion(HUGE, HUGE, 0, 0)), 49),
-        DomainError, "overflow (absolute value too large)", 1 - 2 ** -53),
+        DomainError, "overflow (absolute value too large)", 1.0),
+    # the last sample, coords(49 * (1/49)), is w = 710 (1 - 2**-53); exp overflows there
+    "quadrature_last_sample": (
+        lambda: integrate_slice_quadrature(EXP, Line(Quaternion(0, 1, 0, 0),
+                                                     Quaternion(710, 1, 0, 0)), 49),
+        DomainError, "overflow (math range error)", 1.0),
     # the walk stops at the last left node, w = 709; exp(710) at the end overflows
     "by_parts_end": (
         lambda: _integrate_by_parts(EXP, PowerSeries((1.0,)), Line(Quaternion(700, 1, 0, 0),

@@ -143,6 +143,8 @@ def test_perp_quotient_examples():
     assert perp_quotient(Monomial(1), x) == pytest.approx(1.0, rel=1e-12)
     assert perp_quotient(NamedFunction("exp"), Quaternion(3, 0, 0, 0)) == \
         pytest.approx(math.exp(3), rel=1e-12)
+    with pytest.raises(OverflowError, match="imaginary part out of range"):
+        perp_quotient(NamedFunction("exp"), Quaternion(0, 1.7e308, 1.7e308, 0))
 
 
 def test_perp_quotient_at_subnormal_r_is_the_derivative():

@@ -9,7 +9,7 @@ from qint import (CheckReport, DomainError, Line, Monomial, NamedFunction,
                   UnitImaginary, UnsupportedFunctionError, differential, eval_function,
                   inverse_ftc_residual, tolerances_from_env, verify_antiderivative_map,
                   verify_ftc_forward, verify_ftc_inverse, verify_integration_by_parts)
-from qint.suite import catalog_functions, catalog_paths
+from qint.suite import EXTRA_CHECKS, catalog_functions, catalog_paths
 from qint.verify import by_parts_residual
 
 X = Monomial(1)
@@ -82,6 +82,21 @@ class TestCheckReport:
 
     def test_summary_line_without_residuals(self):
         assert "0.000e+00" in CheckReport("demo", True, [], 1.0).summary_line()
+
+    @pytest.mark.parametrize("residuals,passed", [
+        ([1e-3], True),               # a residual equal to the bound passes
+        ([0.0, 1e-3, 5e-4], True),
+        ([1e-4, 2e-3], False),        # the first is within, a later one is not
+        ([2e-3, 1e-4], False),
+        ([1e-4, math.nan], False),
+    ])
+    def test_within_passes_when_every_residual_is_within(self, residuals, passed):
+        config = {"n": 4}
+        rep = CheckReport.within("demo", residuals, 1e-3, config)
+        assert rep.passed is passed
+        assert (rep.check, rep.residuals, rep.tolerance, rep.config) == \
+            ("demo", residuals, 1e-3, config)
+        assert rep.residuals is residuals and rep.config is config
 
 
 class TestFtcForward:
@@ -293,3 +308,12 @@ class TestAntiderivativeMap:
                          Quaternion(0, 0, 1, 0)))
         rep = verify_antiderivative_map(NamedFunction("exp"), path, 10_000)
         assert rep.passed
+
+
+# the four checks only `qint verify --suite all` runs, with their residual counts
+@pytest.mark.parametrize("check,count", zip(EXTRA_CHECKS, [30, 2, 4, 11]),
+                         ids=[check.__name__ for check in EXTRA_CHECKS])
+def test_extra_checks_pass_at_the_default_tolerances(check, count):
+    rep = check(Tolerances())
+    assert rep.passed
+    assert len(rep.residuals) == count
