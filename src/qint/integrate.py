@@ -220,6 +220,8 @@ def _staircase_sum(term: Callable[..., Sequence[float]], F: AnalyticFunction, pa
     by the first faulty chunk along the path, with the fold's own type,
     message and s; a total out of range is named by its chunk's last s.
     """
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
     inv = 1.0 / steps
     firsts = range(1, steps + 1, _SUM_CHUNK)  # each chunk's first step
     n, size = len(firsts), 1 + 2 * width  # a chunk's slot: its mark, then its pairs
@@ -307,8 +309,6 @@ def integrate(F: AnalyticFunction, path: Path, steps: int,
     whichever process summed which chunk, and a failure is the first one
     along the path.
     """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
     if rule not in ("left", "midpoint"):
         raise ValueError(f"unknown rule {rule!r}; expected 'left' or 'midpoint'")
     lag = 0.5 if rule == "midpoint" else 1.0
@@ -361,6 +361,10 @@ def integrate_slice_quadrature(F: AnalyticFunction, path: Path, steps: int) -> I
     return _single_report(steps, value, _try_reference(F, path))
 
 
+def _fit_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
+    return statistics.linear_regression(xs, ys).slope
+
+
 def convergence_study(F: AnalyticFunction, path: Path, n_list: list[int],
                       rule: str = "left") -> IntegrationReport:
     """Run integrate at each N and fit the error order on a log-log scale.
@@ -377,12 +381,9 @@ def convergence_study(F: AnalyticFunction, path: Path, n_list: list[int],
     rows: list[tuple[int, Quaternion, float | None]] = []
     for n in n_list:
         r = integrate(F, path, n, rule=rule)
-        rows.append((n, r.value, (r.value - ref).norm()))
+        rows.append((n, r.value, r.abs_error))
     pts = [(math.log(n), math.log(err)) for n, _, err in rows if err > EXACT_FLOOR]
-    est = None
-    if len(pts) >= 2:
-        slope, _ = statistics.linear_regression([p[0] for p in pts], [p[1] for p in pts])
-        est = -slope
+    est = -_fit_slope(*zip(*pts)) if len(pts) >= 2 else None
     last = rows[-1]
     return IntegrationReport(steps=last[0], value=last[1], reference=ref,
                              abs_error=last[2], rows=rows, est_order=est)

@@ -7,6 +7,7 @@ chords, so only coords() and the endpoints matter to the rest of the library.
 import math
 from dataclasses import dataclass, field
 
+from .errors import DegenerateSliceError
 from .quaternion import Quaternion, _finite
 from .slices import UnitImaginary
 
@@ -139,6 +140,9 @@ def parse_path(obj: dict) -> Path:
         center = _finite(obj.get("center"), "circle 'center'")
         radius = _finite(obj.get("radius"), "circle 'radius'")
         turns = _finite(obj.get("turns", 1.0), "circle 'turns'")
-        u = UnitImaginary(Quaternion.from_list(obj.get("u")))
+        try:
+            u = UnitImaginary(Quaternion.from_list(obj.get("u")))
+        except (ValueError, DegenerateSliceError) as e:  # a malformed spec, zero u included
+            raise ValueError(f"circle 'u': {e}") from e
         return SliceCircle(center, radius, u, turns)
     raise ValueError(f"unknown path kind {kind!r}")

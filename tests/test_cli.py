@@ -183,6 +183,31 @@ def test_usage_errors_exit_1(capsys):
     assert main(["verify", "--threads", "2"]) == 1
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["integrate", "--fn", "exp", "--path", LINE_0_TO_J, "--steps", "abc"], "is not an integer"),
+    (["eval", "--fn", "exp", "--at", "nope"], "not valid JSON"),
+    (["integrate", "--fn", "exp", "--path", "nope"], "not valid JSON"),
+])
+def test_malformed_arguments_exit_1(argv, message, capsys):
+    assert main(argv) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_function_given_as_a_json_string_is_its_bare_name(capsys):
+    assert main(["eval", "--fn", '"exp"', "--at", "[0.5, 1, 0, 0]"]) == 0
+    quoted = capsys.readouterr().out
+    assert main(["eval", "--fn", "exp", "--at", "[0.5, 1, 0, 0]"]) == 0
+    assert capsys.readouterr().out == quoted
+
+
+@pytest.mark.parametrize("u", ["[0, 0, 0, 0]", "[1, 0, 0, 0]", "[0, 1, 0]", "null"])
+def test_malformed_circle_u_exits_1(u, capsys):
+    path = '{"kind": "circle", "center": 0, "radius": 1, "u": %s}' % u
+    assert main(["integrate", "--fn", "exp", "--steps", "10", "--path", path]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "parse error" in err[0] and "circle 'u'" in err[0]
+
+
 def test_integrate_square_to_j(capsys):
     fn = json.dumps({"kind": "series", "coeffs": [0, 0, 1]})
     rc = main(["integrate", "--fn", fn, "--path", LINE_0_TO_J, "--steps", "10000"])

@@ -542,6 +542,40 @@ def test_a_child_that_dies_before_writing_is_summed_again(cpus, monkeypatch):
     assert_no_child_left()
 
 
+class _Interrupt(BaseException):
+    """Not an Exception, like KeyboardInterrupt, so the staircase's sums pass it on."""
+
+
+@FORKS
+def test_an_interrupt_after_the_forks_kills_every_child(cpus, monkeypatch, tmp_path):
+    # this process raises from its first chunk's fold, which comes after the forks; each
+    # child stalls in its own first fold and would then note that it ran on: none may
+    F, path = NamedFunction("exp"), KERNEL_PATHS["circle"]
+    want = Quaternion(*sequential_fold(F, path, STEPS, 1.0))
+    parent, pairs = os.getpid(), sys.modules["qint.integrate"]._pairs
+    ran_on = os.open(tmp_path / "ran_on", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+    raised = []
+
+    def interrupted(*args):
+        if not raised:  # in a child, as it was when the child was forked
+            if os.getpid() == parent:
+                raised.append(1)
+                raise _Interrupt
+            time.sleep(1.0)
+            os.write(ran_on, b"c")
+        return pairs(*args)
+
+    monkeypatch.setattr(sys.modules["qint.integrate"], "_pairs", interrupted)
+    cpus(4)
+    with pytest.raises(_Interrupt):
+        integrate(F, path, STEPS)
+    assert_no_child_left()
+    assert os.fstat(ran_on).st_size == 0
+    assert integrate(F, path, STEPS).value == want
+    assert_no_child_left()
+    os.close(ran_on)
+
+
 @FORKS
 def test_a_later_fault_claimed_by_this_process_is_not_the_one_reported(cpus, monkeypatch):
     # exp overflows from w ~ 709.8 on, at s ~ 0.204: chunk 3 of 16 and every one after it,

@@ -101,6 +101,7 @@ def test_parse_path_circle():
     {"kind": "polyline", "points": [[0, 0, 0, 0]]},
     {"kind": "circle", "center": "x", "radius": 1, "u": [0, 1, 0, 0]},
     {"kind": "circle", "center": 0, "radius": 1, "u": [0.5, 1, 0, 0]},
+    {"kind": "circle", "center": 0, "radius": 1, "u": [0, 0, 0, 0]},
 ])
 def test_parse_path_rejects(bad):
     with pytest.raises(ValueError):

@@ -220,6 +220,14 @@ class TestByParts:
             verify_integration_by_parts(exp, exp, boundary, 10)
         assert exc.value.s_param == 1.0
 
+    @pytest.mark.parametrize("steps", [0, -3])
+    def test_steps_below_one_raise_value_error(self, steps):
+        # as from the other staircases: not a ZeroDivisionError, nor mmap's OSError
+        path = Line(Quaternion(0, 0, 0, 0), Quaternion(1, 1, 1, 0))
+        for call in (by_parts_residual, verify_integration_by_parts):
+            with pytest.raises(ValueError, match="steps must be >= 1"):
+                call(X, X, path, steps)
+
     @pytest.mark.parametrize("steps", [1000, 12305])
     def test_square_off_one_slice_sums_exactly(self, steps, cpus):
         # x d + d x = (x + d)^2 - x^2 - d^2 with the chord d = (b - a)/N, so the
