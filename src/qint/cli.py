@@ -15,7 +15,7 @@ from .errors import QintError
 from .functions import AnalyticFunction, NamedFunction, parse_function
 from .integrate import (IntegrationReport, convergence_study, integrate,
                         integrate_with_branch_tracking)
-from .paths import Path, parse_path
+from .paths import parse_path
 from .quaternion import Quaternion
 from .slices import eval_function
 from .suite import run_suite
@@ -59,20 +59,13 @@ def _load_function(text: str) -> AnalyticFunction:
     return parse_function(obj)
 
 
-def _load_point(text: str) -> Quaternion:
+def _load(text: str, parse):
+    """parse applied to the JSON value of a command-line argument."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
         raise ValueError(f"not valid JSON: {text!r} ({e})") from e
-    return Quaternion.from_list(obj)
-
-
-def _load_path(text: str) -> Path:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ValueError(f"not valid JSON path spec ({e})") from e
-    return parse_path(obj)
+    return parse(obj)
 
 
 def _est_order_cell(report: IntegrationReport):
@@ -105,47 +98,47 @@ def _report_json(report: IntegrationReport) -> dict:
     }
 
 
+def _write_json(filename: str, obj) -> None:
+    with open(filename, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2)
+        fh.write("\n")
+
+
 def _write_report(filename: str, report: IntegrationReport) -> None:
     if filename.endswith(".json"):
-        with open(filename, "w", encoding="utf-8") as fh:
-            json.dump(_report_json(report), fh, indent=2)
-            fh.write("\n")
+        _write_json(filename, _report_json(report))
     else:
         _write_csv(filename, report)
 
 
 def cmd_eval(args) -> int:
     F = _load_function(args.fn)
-    x = _load_point(args.at)
+    x = _load(args.at, Quaternion.from_list)
     print(format_quaternion(eval_function(F, x)))
     return 0
 
 
 def cmd_diff(args) -> int:
     F = _load_function(args.fn)
-    x = _load_point(args.at)
-    d = _load_point(args.delta)
+    x = _load(args.at, Quaternion.from_list)
+    d = _load(args.delta, Quaternion.from_list)
     print(format_quaternion(differential(F, x, d)))
     return 0
 
 
 def cmd_integrate(args) -> int:
     F = _load_function(args.fn)
-    path = _load_path(args.path)
+    path = _load(args.path, parse_path)
     if args.branch_track and (args.study or args.rule != "left"):
         other = "--study" if args.study else "--rule " + args.rule
-        print(f"qint integrate: error: {other} and --branch-track cannot be combined",
-              file=sys.stderr)
-        return 1
+        raise ValueError(f"{other} and --branch-track cannot be combined")
     if args.branch_track:
         report = integrate_with_branch_tracking(F, path, args.steps)
     elif args.study:
         try:
             n_list = [int(tok) for tok in args.study.split(",") if tok.strip()]
-        except ValueError:
-            print(f"qint integrate: error: bad --study list {args.study!r}",
-                  file=sys.stderr)
-            return 1
+        except ValueError as e:
+            raise ValueError(f"bad --study list {args.study!r}") from e
         report = convergence_study(F, path, n_list, rule=args.rule)
     else:
         report = integrate(F, path, args.steps, rule=args.rule)
@@ -163,9 +156,7 @@ def cmd_verify(args) -> int:
     n_pass = sum(1 for r in reports if r.passed)
     print(f"{n_pass}/{len(reports)} checks passed")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump([r.to_json() for r in reports], fh, indent=2)
-            fh.write("\n")
+        _write_json(args.out, [r.to_json() for r in reports])
     return 0 if n_pass == len(reports) else 3
 
 

@@ -10,6 +10,7 @@ comparisons.
 
 import math
 import random
+from itertools import combinations
 
 from .differential import conjugate_quotient, differential, sym_product_sum
 from .functions import AnalyticFunction, Monomial, NamedFunction, PowerSeries
@@ -104,13 +105,10 @@ def check_path_independence(tol: Tolerances) -> CheckReport:
     ref = endpoint_reference(F, paths["line"])
     values = {name: integrate(F, p, n).value for name, p in paths.items()}
     residuals = [(v - ref).norm() for v in values.values()]
-    names = list(values)
-    for i in range(len(names)):
-        for j in range(i + 1, len(names)):
-            residuals.append((values[names[i]] - values[names[j]]).norm())
+    residuals += [(a - b).norm() for a, b in combinations(values.values(), 2)]
     return CheckReport.within(
         "path_independence", residuals, tol.path_independence,
-        {"function": F.to_json(), "steps": n, "paths": list(names),
+        {"function": F.to_json(), "steps": n, "paths": list(values),
          "reference": ref.to_list()})
 
 

@@ -51,11 +51,9 @@ class Tolerances:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-# Fields a bare-number QINT_TOL replaces. Slope targets and slack factors are
-# not residual bounds, so a global override leaves them alone.
-_RESIDUAL_FIELDS = ("exact_floor", "monomial_rel", "path_independence", "closed_loop",
-                    "winding", "by_parts", "inverse_ftc", "algebraic", "antiderivative",
-                    "mutual_oracle", "ftc_final")
+# The fields a bare-number QINT_TOL leaves alone: slope targets and slack
+# factors are not residual bounds. It replaces every other field.
+_NON_RESIDUAL_FIELDS = ("slope_min", "slope_two_tol", "rule_upgrade_margin", "decay_slack")
 
 
 def _bound(value, what: str) -> float:
@@ -85,7 +83,8 @@ def tolerances_from_env(env=None) -> Tolerances:
         raise ValueError(f"QINT_TOL is not valid JSON: {e}") from e
     if isinstance(obj, (int, float)):  # a boolean too, which _finite rejects
         bound = _bound(obj, "QINT_TOL")
-        return Tolerances(**{name: bound for name in _RESIDUAL_FIELDS})
+        return Tolerances(**{f.name: bound for f in fields(Tolerances)
+                             if f.name not in _NON_RESIDUAL_FIELDS})
     if isinstance(obj, dict):
         known = {f.name for f in fields(Tolerances)}
         unknown = set(obj) - known

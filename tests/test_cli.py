@@ -187,10 +187,22 @@ def test_usage_errors_exit_1(capsys):
     (["integrate", "--fn", "exp", "--path", LINE_0_TO_J, "--steps", "abc"], "is not an integer"),
     (["eval", "--fn", "exp", "--at", "nope"], "not valid JSON"),
     (["integrate", "--fn", "exp", "--path", "nope"], "not valid JSON"),
+    (["diff", "--fn", "exp", "--at", "[1, 1, 0, 0]", "--delta", "nope"], "not valid JSON"),
 ])
 def test_malformed_arguments_exit_1(argv, message, capsys):
     assert main(argv) == 1
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--fn", "exp", "--at", "nope"],
+    ["diff", "--fn", "exp", "--at", "[1, 1, 0, 0]", "--delta", "nope"],
+    ["integrate", "--fn", "exp", "--path", "nope"],
+])
+def test_a_json_argument_that_is_not_json_is_named_by_its_text(argv, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"qint {argv[0]}: parse error: not valid JSON: 'nope' (")
 
 
 def test_function_given_as_a_json_string_is_its_bare_name(capsys):
@@ -295,6 +307,18 @@ def test_bad_study_list(capsys):
     assert rc == 1
 
 
+@pytest.mark.parametrize("options,message", [
+    (["--study", "100,200,400", "--branch-track"],
+     "--study and --branch-track cannot be combined"),
+    (["--rule", "midpoint", "--branch-track"],
+     "--rule midpoint and --branch-track cannot be combined"),
+    (["--study", "100,abc"], "bad --study list '100,abc'"),
+])
+def test_integrate_option_problems_are_parse_errors(options, message, capsys):
+    assert main(["integrate", "--fn", "ln", "--path", UNIT_CIRCLE, *options]) == 1
+    assert capsys.readouterr().err == f"qint integrate: parse error: {message}\n"
+
+
 def test_log_on_axis_point_reports_s(capsys):
     rc = main(["integrate", "--fn", "ln", "--path", UNIT_CIRCLE, "--steps", "100"])
     assert rc == 2
@@ -335,6 +359,18 @@ def test_verify_failure_exits_3(monkeypatch, tmp_path, capsys):
         doc = json.load(fh)
     assert [d["pass"] for d in doc] == [True, False]
     assert doc[0]["check"] == "alpha"
+
+
+@pytest.mark.parametrize("argv", [
+    ["integrate", "--fn", "exp", "--path", LINE_0_TO_J, "--steps", "500"],
+    ["verify", "--suite", "default"],
+])
+def test_json_reports_are_indented_by_two_and_end_in_a_newline(argv, monkeypatch, tmp_path):
+    monkeypatch.setattr(cli, "run_suite", lambda suite, tol: _fake_reports(False))
+    out = tmp_path / "report.json"
+    main([*argv, "--out", str(out)])
+    text = out.read_text(encoding="utf-8")
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
 
 
 def test_verify_invalid_tolerance_env_exits_1(monkeypatch, capsys):

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from qint import (DomainError, Monomial, NamedFunction, PowerSeries, Scaled,
                   UnsupportedFunctionError, antiderivative, parse_function)
+from qint.functions import AnalyticFunction
 
 
 def test_series_evaluates_polynomial():
@@ -141,6 +142,15 @@ def test_antiderivative_monomial():
 def test_antiderivative_unsupported():
     with pytest.raises(UnsupportedFunctionError):
         antiderivative(NamedFunction("ln"))
+
+
+def test_antiderivative_of_a_kind_with_no_rule():
+    class Doubling(AnalyticFunction):
+        def eval_complex(self, z):
+            return 2 * z
+
+    with pytest.raises(UnsupportedFunctionError, match="no antiderivative rule for Doubling"):
+        antiderivative(Doubling())
 
 
 @given(st.lists(st.floats(-2, 2, allow_nan=False, allow_infinity=False),

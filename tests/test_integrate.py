@@ -110,6 +110,12 @@ def test_quadrature_single_step_telescopes():
     assert_close(rep.value, rep.reference, 1e-12)
 
 
+def test_quadrature_validates_steps():
+    path = Line(Quaternion(0, 1, 0, 0), Quaternion(0, 0, 1, 0))
+    with pytest.raises(ValueError, match="steps must be >= 1"):
+        integrate_slice_quadrature(Monomial(1), path, 0)
+
+
 @settings(max_examples=10, deadline=None)
 @given(st.tuples(*(st.floats(-1, 1) for _ in range(4))),
        st.tuples(*(st.floats(-1, 1) for _ in range(4))))
@@ -154,6 +160,15 @@ def test_study_exact_case_reports_no_order():
     assert study.est_order is None
     assert study.is_exact()
     assert all(err <= 1e-12 for _, _, err in study.rows)
+
+
+def test_a_report_without_reference_or_rows_is_not_exact():
+    # ln is multivalued, so its integral along a line has no endpoint reference
+    rep = integrate(NamedFunction("ln"), Line(Quaternion(1, 1, 0, 0), Quaternion(2, 1, 0, 0)), 100)
+    assert rep.reference is None and not rep.is_exact()
+    # with no rows there is no error to be small, whatever the reference
+    for ref in (None, rep.value):
+        assert not IntegrationReport(steps=100, value=rep.value, reference=ref).is_exact()
 
 
 def test_study_without_reference_raises():

@@ -31,6 +31,12 @@ def test_polyline_visits_waypoints():
     assert_close(pl.point(0.75), Quaternion(1, 1, 1, 0), 1e-15)
 
 
+def test_polyline_just_before_its_start_is_its_start():
+    # floor(s * k) is -1 here; unclamped, the last segment would be read
+    pts = (Quaternion(0, 0, 0, 0), Quaternion(1, 1, 0, 0), Quaternion(1, 1, 2, 0))
+    assert_close(PolyLine(pts).point(-1e-17), pts[0], 1e-15)
+
+
 def test_polyline_needs_two_points():
     with pytest.raises(ValueError):
         PolyLine((Quaternion(0, 0, 0, 0),))

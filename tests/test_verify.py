@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -9,7 +9,7 @@ from qint import (CheckReport, DomainError, Line, Monomial, NamedFunction,
                   UnitImaginary, UnsupportedFunctionError, differential, eval_function,
                   inverse_ftc_residual, tolerances_from_env, verify_antiderivative_map,
                   verify_ftc_forward, verify_ftc_inverse, verify_integration_by_parts)
-from qint.suite import EXTRA_CHECKS, catalog_functions, catalog_paths
+from qint.suite import EXTRA_CHECKS, catalog_functions, catalog_paths, run_suite
 from qint.verify import by_parts_residual
 
 X = Monomial(1)
@@ -38,6 +38,13 @@ class TestToleranceEnv:
         assert tol.slope_two_tol == 0.3
         assert tol.rule_upgrade_margin == 0.5
         assert tol.decay_slack == 1.05
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(Tolerances)])
+    def test_bare_number_sets_every_field_but_the_four_non_residual_ones(self, name):
+        tol = tolerances_from_env(env={"QINT_TOL": "1e-6"})
+        kept = {"slope_min", "slope_two_tol", "rule_upgrade_margin", "decay_slack"}
+        expected = getattr(Tolerances(), name) if name in kept else 1e-6
+        assert getattr(tol, name) == expected
 
     def test_object_overrides_named_fields(self):
         tol = tolerances_from_env(env={"QINT_TOL": '{"by_parts": 1e-4, "slope_min": 0.5}'})
@@ -325,3 +332,9 @@ def test_extra_checks_pass_at_the_default_tolerances(check, count):
     rep = check(Tolerances())
     assert rep.passed
     assert len(rep.residuals) == count
+
+
+def test_unknown_suite_name_raises():
+    # the CLI's --suite choices stop this name before it reaches run_suite
+    with pytest.raises(ValueError, match="unknown suite 'nightly'"):
+        run_suite("nightly")
