@@ -220,6 +220,9 @@ def main(argv=None) -> int:
     except ValueError as e:
         print(f"qint {args.command}: parse error: {e}", file=sys.stderr)
         return 1
+    except RecursionError as e:  # from json or from walking a nested spec
+        print(f"qint {args.command}: parse error: input nested too deeply ({e})", file=sys.stderr)
+        return 1
     except OSError as e:
         print(f"qint {args.command}: i/o error: {e}", file=sys.stderr)
         return 1

@@ -10,7 +10,7 @@ import math
 from typing import Iterable, Sequence
 
 from .functions import AnalyticFunction
-from .quaternion import ONE, ZERO, Quaternion
+from .quaternion import Quaternion
 from .slices import (_TINY_R, _tiny_r_quotient, decompose_delta, eval_derivative, eval_function,
                      perp_quotient)
 
@@ -110,14 +110,16 @@ def sym_product_sum(x: Quaternion, delta: Quaternion, n: int) -> Quaternion:
     """Sum_{k=0..n} x^k * delta * x^(n-k), by direct non-commutative products.
 
     Equals the differential of x^(n+1) at x applied to delta; serves as an
-    exactness oracle for the operator on monomials.
+    exactness oracle for the operator on monomials. x^0 is left out of each
+    product, not multiplied in as a float 1, so Fraction components stay exact.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    powers = [ONE]
-    for _ in range(n):
+    powers = [x]  # powers[k - 1] = x^k
+    for _ in range(n - 1):
         powers.append(powers[-1] * x)
-    total = ZERO
-    for k in range(n + 1):
-        total = total + powers[k] * delta * powers[n - k]
+    total = delta * powers[-1] if n else delta  # the k = 0 term
+    for k in range(1, n + 1):
+        term = powers[k - 1] * delta
+        total = total + (term * powers[n - k - 1] if k < n else term)
     return total

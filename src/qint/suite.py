@@ -68,28 +68,19 @@ def check_monomial_staircase(tol: Tolerances) -> CheckReport:
     first order with small relative error on the j-step line."""
     path = catalog_paths()["line_j_step"]
     n_list = [100, 1000, 10_000, 100_000]
-    residuals: list[float] = []
-    ok = True
-    config: dict = {"path": path.to_json(), "steps": n_list, "orders": {}}
-
-    for n in n_list:
-        err = integrate(Monomial(1), path, n).abs_error
-        residuals.append(err)
-        ok = ok and err <= tol.exact_floor
-
-    for name, F in (("x^2", Monomial(2)), ("x^3", Monomial(3))):
-        study = convergence_study(F, path, n_list)
-        scale = study.reference.norm()
-        rel = study.rows[2][2] / scale  # the N = 1e4 row
-        residuals.append(rel)
-        config["orders"][name] = study.est_order
-        ok = ok and rel <= tol.monomial_rel
-        ok = ok and study.est_order is not None and study.est_order >= tol.slope_min
-
+    exact = [integrate(Monomial(1), path, n).abs_error for n in n_list]
+    studies = {name: convergence_study(F, path, n_list)
+               for name, F in (("x^2", Monomial(2)), ("x^3", Monomial(3)))}
+    rels = [s.rows[2][2] / s.reference.norm() for s in studies.values()]  # the N = 1e4 row
+    orders = {name: s.est_order for name, s in studies.items()}
+    ok = (all(err <= tol.exact_floor for err in exact)
+          and all(rel <= tol.monomial_rel for rel in rels)
+          and all(o is not None and o >= tol.slope_min for o in orders.values()))
     return CheckReport(
-        check="monomial_staircase", passed=ok, residuals=residuals,
+        check="monomial_staircase", passed=ok, residuals=exact + rels,
         tolerance=tol.monomial_rel,
-        config=config | {"exact_floor": tol.exact_floor, "slope_min": tol.slope_min})
+        config={"path": path.to_json(), "steps": n_list, "orders": orders,
+                "exact_floor": tol.exact_floor, "slope_min": tol.slope_min})
 
 
 def check_path_independence(tol: Tolerances) -> CheckReport:
@@ -114,12 +105,13 @@ def check_path_independence(tol: Tolerances) -> CheckReport:
 
 def check_closed_loop(tol: Tolerances) -> CheckReport:
     """A cubic around a full in-slice circle integrates to zero."""
+    F = Monomial(3)
     path = catalog_paths()["circle_real_center"]
     n = 10_000
-    res = integrate(Monomial(3), path, n).value.norm()
+    res = integrate(F, path, n).value.norm()
     return CheckReport.within(
         "closed_loop_zero", [res], tol.closed_loop,
-        {"function": Monomial(3).to_json(), "path": path.to_json(), "steps": n})
+        {"function": F.to_json(), "path": path.to_json(), "steps": n})
 
 
 def check_winding(tol: Tolerances) -> CheckReport:
@@ -132,18 +124,14 @@ def check_winding(tol: Tolerances) -> CheckReport:
         "j": UnitImaginary(Quaternion(0, 0, 1)),
         "diag": UnitImaginary(Quaternion(0, 1 / _SQ3, 1 / _SQ3, 1 / _SQ3)),
     }
-    residuals = []
-    combos = []
+    residuals = {}
     for dname, u in directions.items():
         for m in (-1, 1, 2):
-            path = SliceCircle(0.0, 1.0, u, float(m))
-            value = integrate_with_branch_tracking(F, path, n).value
-            expected = u.scaled(2.0 * math.pi * m)
-            residuals.append((value - expected).norm() / max(1.0, abs(m)))
-            combos.append([dname, m])
+            value = integrate_with_branch_tracking(F, SliceCircle(0.0, 1.0, u, float(m)), n).value
+            residuals[dname, m] = (value - u.scaled(2.0 * math.pi * m)).norm() / max(1.0, abs(m))
     return CheckReport.within(
-        "log_winding", residuals, tol.winding,
-        {"steps": n, "combos": combos,
+        "log_winding", list(residuals.values()), tol.winding,
+        {"steps": n, "combos": [list(case) for case in residuals],
          "note": "residuals divided by max(1, |turns|)"})
 
 
@@ -166,13 +154,14 @@ def check_inverse_ftc(tol: Tolerances) -> CheckReport:
     x = Quaternion(1, 1)
     n = 10_000
     mags = [1e-2, 5e-3, 2.5e-3]
-    residuals = [inverse_ftc_residual(F, x, Quaternion(0, 0, m), n) for m in mags]
+    direction = [0, 0, 1, 0]
+    residuals = [inverse_ftc_residual(F, x, m * Quaternion(*direction), n) for m in mags]
     slope = _fit_slope([math.log(m) for m in mags], [math.log(r) for r in residuals])
     ok = residuals[0] <= tol.inverse_ftc and abs(slope - 2.0) <= tol.slope_two_tol
     return CheckReport(
         check="inverse_ftc", passed=ok, residuals=residuals, tolerance=tol.inverse_ftc,
         config={"function": F.to_json(), "x": x.to_list(), "delta_norms": mags,
-                "direction": [0, 0, 1, 0], "steps": n, "slope": slope,
+                "direction": direction, "steps": n, "slope": slope,
                 "slope_target": [2.0, tol.slope_two_tol]})
 
 
@@ -195,17 +184,17 @@ def check_exact_identities(tol: Tolerances) -> CheckReport:
     quotient. Sampling spans are kept moderate so rounding stays well under
     the bound."""
     rng = random.Random(RNG_SEED)
-    worst = {"sym_product": 0.0, "leibniz": 0.0, "delta_split": 0.0,
-             "conjugate_quotient": 0.0}
+    samples = {"sym_product": 100, "leibniz": 20, "delta_split": 100, "conjugate_quotient": 50}
+    worst = dict.fromkeys(samples, 0.0)
 
-    for _ in range(100):
+    for _ in range(samples["sym_product"]):
         x = _random_point(rng, 1.2, 1e-3)
         d = _random_delta(rng)
         for n in range(0, 7):
             r = (differential(Monomial(n + 1), x, d) - sym_product_sum(x, d, n)).norm()
             worst["sym_product"] = max(worst["sym_product"], r)
 
-    for _ in range(20):
+    for _ in range(samples["leibniz"]):
         F = PowerSeries(tuple(rng.uniform(-1, 1) for _ in range(rng.randint(1, 5))))
         G = PowerSeries(tuple(rng.uniform(-1, 1) for _ in range(rng.randint(1, 5))))
         x = _random_point(rng, 0.8, 1e-3)
@@ -215,7 +204,7 @@ def check_exact_identities(tol: Tolerances) -> CheckReport:
             + eval_function(F, x) * differential(G, x, d)
         worst["leibniz"] = max(worst["leibniz"], (lhs - rhs).norm())
 
-    for _ in range(100):
+    for _ in range(samples["delta_split"]):
         x = _random_point(rng, 1.2, 1e-6)
         d = _random_delta(rng)
         sp = decompose_delta(x, d)
@@ -228,7 +217,7 @@ def check_exact_identities(tol: Tolerances) -> CheckReport:
 
     quotient_functions = [Monomial(2), Monomial(3), NamedFunction("exp"),
                           NamedFunction("sin")]
-    for _ in range(50):
+    for _ in range(samples["conjugate_quotient"]):
         x = _random_point(rng, 1.2, 1e-3)
         for F in quotient_functions:
             scalar = perp_quotient(F, x)
@@ -237,27 +226,21 @@ def check_exact_identities(tol: Tolerances) -> CheckReport:
                 worst["conjugate_quotient"],
                 (full - Quaternion(scalar, 0.0, 0.0, 0.0)).norm())
 
-    residuals = list(worst.values())
     return CheckReport.within(
-        "exact_identities", residuals, tol.algebraic,
-        {"families": list(worst), "seed": RNG_SEED,
-         "samples": {"sym_product": 100, "leibniz": 20, "delta_split": 100,
-                     "conjugate_quotient": 50}})
+        "exact_identities", list(worst.values()), tol.algebraic,
+        {"families": list(samples), "seed": RNG_SEED, "samples": samples})
 
 
 def check_antiderivative(tol: Tolerances) -> CheckReport:
     """Lifting t^2 -> t^3/3 and cos -> sin to the staircase integral."""
     path = Line(Quaternion(0, 1), Quaternion(0, 0, 1))  # i -> j
     n = 10_000
-    reports = [
-        verify_antiderivative_map(PowerSeries((0.0, 0.0, 1.0)), path, n, tol),
-        verify_antiderivative_map(NamedFunction("cos"), path, n, tol),
-    ]
-    residuals = [r for rep in reports for r in rep.residuals]
+    integrands = {"t^2 series": PowerSeries((0.0, 0.0, 1.0)), "cos": NamedFunction("cos")}
+    residuals = [r for f in integrands.values()
+                 for r in verify_antiderivative_map(f, path, n, tol).residuals]
     return CheckReport.within(
         "antiderivative_map", residuals, tol.antiderivative,
-        {"integrands": ["t^2 series", "cos"], "path": path.to_json(),
-         "steps": n})
+        {"integrands": list(integrands), "path": path.to_json(), "steps": n})
 
 
 def check_mutual_oracle(tol: Tolerances) -> CheckReport:
@@ -267,32 +250,25 @@ def check_mutual_oracle(tol: Tolerances) -> CheckReport:
     through f only, so this checks the staircase (built on f' and b/r) against
     F(end) - F(start), not against the inside of the path."""
     n = 10_000
-    residuals = []
-    pairs = []
-    for fname, F in catalog_functions().items():
-        for pname, path in catalog_paths().items():
-            a = integrate(F, path, n).value
-            b = integrate_slice_quadrature(F, path, n).value
-            residuals.append((a - b).norm())
-            pairs.append([fname, pname])
+    residuals = {(fname, pname): (integrate(F, path, n).value
+                                  - integrate_slice_quadrature(F, path, n).value).norm()
+                 for fname, F in catalog_functions().items()
+                 for pname, path in catalog_paths().items()}
     return CheckReport.within(
-        "mutual_oracle", residuals, tol.mutual_oracle,
-        {"steps": n, "pairs": pairs})
+        "mutual_oracle", list(residuals.values()), tol.mutual_oracle,
+        {"steps": n, "pairs": [list(pair) for pair in residuals]})
 
 
 def check_ftc_catalog(tol: Tolerances) -> CheckReport:
     """Forward fundamental theorem across the whole catalog at modest N."""
     n_list = [400, 2000, 10_000]
-    residuals = []
-    failing = []
-    for fname, F in catalog_functions().items():
-        for pname, path in catalog_paths().items():
-            rep = verify_ftc_forward(F, path, n_list, tol)
-            residuals.append(rep.residuals[-1])
-            if not rep.passed:
-                failing.append([fname, pname])
+    reports = {(fname, pname): verify_ftc_forward(F, path, n_list, tol)
+               for fname, F in catalog_functions().items()
+               for pname, path in catalog_paths().items()}
+    failing = [list(pair) for pair, rep in reports.items() if not rep.passed]
     return CheckReport(
-        check="ftc_catalog", passed=not failing, residuals=residuals,
+        check="ftc_catalog", passed=not failing,
+        residuals=[rep.residuals[-1] for rep in reports.values()],
         tolerance=tol.ftc_final,
         config={"steps": n_list, "failing": failing,
                 "note": "residuals are final absolute errors; pass/fail is "
@@ -304,17 +280,11 @@ def check_rule_upgrade(tol: Tolerances) -> CheckReport:
     n_list = [200, 400, 800, 1600]
     cases = [(Monomial(3), catalog_paths()["line_j_step"]),
              (NamedFunction("exp"), catalog_paths()["line_cross_slice"])]
-    residuals = []
-    orders = []
-    ok = True
-    for F, path in cases:
-        left = convergence_study(F, path, n_list, rule="left").est_order
-        mid = convergence_study(F, path, n_list, rule="midpoint").est_order
-        orders.append([left, mid])
-        gain = (mid or 0.0) - (left or 0.0)
-        residuals.append(gain)
-        ok = ok and left is not None and mid is not None \
-            and gain >= tol.rule_upgrade_margin
+    orders = [[convergence_study(F, path, n_list, rule=rule).est_order
+               for rule in ("left", "midpoint")] for F, path in cases]
+    residuals = [(mid or 0.0) - (left or 0.0) for left, mid in orders]
+    ok = (all(None not in pair for pair in orders)
+          and all(gain >= tol.rule_upgrade_margin for gain in residuals))
     return CheckReport(
         check="rule_upgrade", passed=ok, residuals=residuals,
         tolerance=tol.rule_upgrade_margin,
@@ -327,14 +297,15 @@ def check_winding_additivity(tol: Tolerances) -> CheckReport:
     F = NamedFunction("ln")
     u = UnitImaginary(Quaternion(0, 1))
     n = 10_000
+    turns = [-2, -1, 1, 2]
     one = integrate_with_branch_tracking(F, SliceCircle(0.0, 1.0, u, 1.0), n).value
     residuals = []
-    for m in (-2, -1, 1, 2):
+    for m in turns:
         vm = integrate_with_branch_tracking(F, SliceCircle(0.0, 1.0, u, float(m)), n).value
         residuals.append((vm - float(m) * one).norm() / max(1.0, abs(m)))
     return CheckReport.within(
         "winding_additivity", residuals, tol.winding,
-        {"steps": n, "turns": [-2, -1, 1, 2],
+        {"steps": n, "turns": turns,
          "note": "residuals divided by max(1, |turns|)"})
 
 

@@ -132,7 +132,8 @@ def verify_ftc_forward(F: AnalyticFunction, path: Path, n_list: list[int],
     """Left-rule staircase value converges to F(end) - F(start): errors decay
     with N and the finest one is small relative to the endpoint difference."""
     tol = tol or Tolerances()
-    study = convergence_study(F, path, n_list)
+    rule = "left"
+    study = convergence_study(F, path, n_list, rule)
     errors = [err for _, _, err in study.rows]
     scale = max(1.0, study.reference.norm())
     passed = (_decaying(errors, tol.decay_slack, tol.exact_floor)
@@ -140,7 +141,7 @@ def verify_ftc_forward(F: AnalyticFunction, path: Path, n_list: list[int],
     return CheckReport(
         check="ftc_forward", passed=passed, residuals=errors, tolerance=tol.ftc_final * scale,
         config={"path": path.to_json(), "function": F.to_json(), "steps": list(n_list),
-                "rule": "left", "est_order": study.est_order,
+                "rule": rule, "est_order": study.est_order,
                 "reference": study.reference.to_list()})
 
 

@@ -183,11 +183,32 @@ def test_usage_errors_exit_1(capsys):
     assert main(["verify", "--threads", "2"]) == 1
 
 
+def _nested(depth):
+    return "[" * depth + "]" * depth
+
+
+def _nested_fn(depth):
+    scaled = '{"kind": "scaled", "factor": 1, "inner": '
+    return scaled * depth + '{"kind": "named", "name": "exp"}' + "}" * depth
+
+
+# at depth 1000 a Python whose JSON decoder nests deeper than its recursion
+# limit reads the value and rejects its shape instead, so only the prefix is fixed
 @pytest.mark.parametrize("argv,message", [
     (["integrate", "--fn", "exp", "--path", LINE_0_TO_J, "--steps", "abc"], "is not an integer"),
     (["eval", "--fn", "exp", "--at", "nope"], "not valid JSON"),
     (["integrate", "--fn", "exp", "--path", "nope"], "not valid JSON"),
     (["diff", "--fn", "exp", "--at", "[1, 1, 0, 0]", "--delta", "nope"], "not valid JSON"),
+    (["eval", "--fn", _nested_fn(1000), "--at", "[1, 1, 0, 0]"], "qint eval: parse error: "),
+    (["eval", "--fn", "exp", "--at", _nested(1000)], "qint eval: parse error: "),
+    (["diff", "--fn", "exp", "--at", "[1, 1, 0, 0]", "--delta", _nested(1000)],
+     "qint diff: parse error: "),
+    (["integrate", "--fn", "exp", "--path", _nested(1000)], "qint integrate: parse error: "),
+    (["eval", "--fn", _nested_fn(10**5), "--at", "[1, 1, 0, 0]"], "input nested too deeply"),
+    (["eval", "--fn", "exp", "--at", _nested(10**5)], "input nested too deeply"),
+    (["diff", "--fn", "exp", "--at", "[1, 1, 0, 0]", "--delta", _nested(10**5)],
+     "input nested too deeply"),
+    (["integrate", "--fn", "exp", "--path", _nested(10**5)], "input nested too deeply"),
 ])
 def test_malformed_arguments_exit_1(argv, message, capsys):
     assert main(argv) == 1
@@ -378,6 +399,14 @@ def test_verify_invalid_tolerance_env_exits_1(monkeypatch, capsys):
     rc = main(["verify", "--suite", "default"])
     assert rc == 1
     assert "parse error" in capsys.readouterr().err
+
+
+def test_verify_nested_tolerance_exits_1(monkeypatch, capsys):
+    monkeypatch.setenv("QINT_TOL", _nested(10**5))
+    assert main(["verify", "--suite", "default"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("qint verify: parse error: input nested too deeply (")
 
 
 def test_verify_infinite_tolerance_exits_1(monkeypatch, capsys):

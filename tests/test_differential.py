@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +34,14 @@ def test_sym_product_sum_examples():
     assert_close(sym_product_sum(x, k, 2), expected, 1e-12)
     with pytest.raises(ValueError):
         sym_product_sum(x, k, -1)
+
+
+def test_sym_product_sum_keeps_fraction_input_exact():
+    # j i i + i j i + i i j = -j + j - j = -j, with no float in any component
+    zero, one = Fraction(0), Fraction(1)
+    got = sym_product_sum(Quaternion(zero, one, zero, zero), Quaternion(zero, zero, one, zero), 2)
+    assert got == Quaternion(0, 0, -1, 0)
+    assert all(isinstance(c, Fraction) for c in got.to_list())
 
 
 @settings(max_examples=100)

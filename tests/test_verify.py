@@ -9,7 +9,9 @@ from qint import (CheckReport, DomainError, Line, Monomial, NamedFunction,
                   UnitImaginary, UnsupportedFunctionError, differential, eval_function,
                   inverse_ftc_residual, tolerances_from_env, verify_antiderivative_map,
                   verify_ftc_forward, verify_ftc_inverse, verify_integration_by_parts)
-from qint.suite import EXTRA_CHECKS, catalog_functions, catalog_paths, run_suite
+from qint.suite import (EXTRA_CHECKS, catalog_functions, catalog_paths, check_antiderivative,
+                        check_exact_identities, check_mutual_oracle, check_winding,
+                        run_suite)
 from qint.verify import by_parts_residual
 
 X = Monomial(1)
@@ -332,6 +334,30 @@ def test_extra_checks_pass_at_the_default_tolerances(check, count):
     rep = check(Tolerances())
     assert rep.passed
     assert len(rep.residuals) == count
+    # the config list that names each residual's case, where there is one
+    cases = {"rule_upgrade": "orders_left_mid", "winding_additivity": "turns",
+             "first_order_remainder": "h"}
+    if rep.check in cases:
+        assert len(rep.config[cases[rep.check]]) == count
+    else:  # ftc_catalog has one residual per catalog pair and lists the failing ones
+        pairs = [[f, p] for f in catalog_functions() for p in catalog_paths()]
+        assert count == len(pairs)
+        assert all(pair in pairs for pair in rep.config["failing"])
+
+
+def test_every_case_list_has_one_entry_per_residual():
+    tol = Tolerances()
+    winding = check_winding(tol)
+    assert len(winding.config["combos"]) == len(winding.residuals) == 9
+    assert len({tuple(combo) for combo in winding.config["combos"]}) == 9
+    oracle = check_mutual_oracle(tol)
+    pairs = [[f, p] for f in catalog_functions() for p in catalog_paths()]
+    assert oracle.config["pairs"] == pairs and len(oracle.residuals) == len(pairs)
+    antiderivative = check_antiderivative(tol)
+    assert len(antiderivative.config["integrands"]) == len(antiderivative.residuals) == 2
+    identities = check_exact_identities(tol)
+    assert identities.config["families"] == list(identities.config["samples"])
+    assert len(identities.config["families"]) == len(identities.residuals)
 
 
 def test_unknown_suite_name_raises():
