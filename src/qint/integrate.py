@@ -8,11 +8,10 @@ import mmap
 import os
 import select
 import signal
-import statistics
 import threading
 from array import array
 from dataclasses import dataclass, field
-from operator import sub
+from operator import add, sub
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .differential import _differential, _differential_columns
@@ -20,7 +19,7 @@ from .errors import (DegenerateSliceError, DomainError, MissingReferenceError, Q
                      SliceEscapeError, StepTooCoarseError, UnsupportedFunctionError)
 from .functions import AnalyticFunction, NamedFunction
 from .paths import Path
-from .quaternion import Quaternion
+from .quaternion import Quaternion, _hamilton
 from .slices import UnitImaginary, _lift, eval_function
 
 # Errors at or below this are treated as exact (pure rounding noise), both for
@@ -362,7 +361,9 @@ def integrate_slice_quadrature(F: AnalyticFunction, path: Path, steps: int) -> I
 
 
 def _fit_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
-    return statistics.linear_regression(xs, ys).slope
+    x_bar, y_bar = math.fsum(xs) / len(xs), math.fsum(ys) / len(ys)  # one float on any Python
+    dxs = [x - x_bar for x in xs]
+    return math.fsum(dx * (y - y_bar) for dx, y in zip(dxs, ys)) / math.fsum(dx * dx for dx in dxs)
 
 
 def convergence_study(F: AnalyticFunction, path: Path, n_list: list[int],
@@ -456,9 +457,9 @@ def _integrate_by_parts(F: AnalyticFunction, G: AnalyticFunction, path: Path,
     the left in one term and G from the right in the other. A failure names
     the s of the first node at fault, or 1 for F G at the end."""
     def term(F, *xd):  # F(x) dG + dF G(x) as a row; xd is x then the chord
-        dF, dG = Quaternion(*_differential(F, *xd)), Quaternion(*_differential(G, *xd))
-        return (Quaternion(*_lift(F.eval_complex, *xd[:4])) * dG
-                + dF * Quaternion(*_lift(G.eval_complex, *xd[:4]))).to_list()
+        dF, dG = _differential(F, *xd), _differential(G, *xd)
+        Fx, Gx = _lift(F.eval_complex, *xd[:4]), _lift(G.eval_complex, *xd[:4])
+        return tuple(map(add, _hamilton(*Fx, *dG), _hamilton(*dF, *Gx)))
 
     total = _staircase_sum(term, F, path, steps, 1.0, 4)
     at_end = _at(1.0, lambda: eval_function(F, path.end) * eval_function(G, path.end))

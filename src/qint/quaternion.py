@@ -18,6 +18,16 @@ def _finite(value, what: str) -> float:
     raise ValueError(f"{what} must be a finite number, got {value!r}")
 
 
+def _hamilton(a0: float, a1: float, a2: float, a3: float,
+              b0: float, b1: float, b2: float, b3: float) -> tuple[float, float, float, float]:
+    """(a0 + a1 i + a2 j + a3 k)(b0 + b1 i + b2 j + b3 k) on bare floats, as (w, x1,
+    x2, x3): the one Hamilton product, behind Quaternion.__mul__ and the by-parts terms."""
+    return (a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
+            a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
+            a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
+            a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0)
+
+
 @dataclass(slots=True)
 class Quaternion:
     """A quaternion w + i*x1 + j*x2 + k*x3.
@@ -49,14 +59,8 @@ class Quaternion:
 
     def __mul__(self, other: "Quaternion | Number") -> "Quaternion":
         if isinstance(other, Quaternion):
-            a0, a1, a2, a3 = self.w, self.x1, self.x2, self.x3
-            b0, b1, b2, b3 = other.w, other.x1, other.x2, other.x3
-            return Quaternion(
-                a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
-                a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
-                a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
-                a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0,
-            )
+            return Quaternion(*_hamilton(self.w, self.x1, self.x2, self.x3,
+                                         other.w, other.x1, other.x2, other.x3))
         if isinstance(other, (int, float)):
             return Quaternion(self.w * other, self.x1 * other,
                               self.x2 * other, self.x3 * other)

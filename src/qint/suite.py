@@ -298,11 +298,9 @@ def check_winding_additivity(tol: Tolerances) -> CheckReport:
     u = UnitImaginary(Quaternion(0, 1))
     n = 10_000
     turns = [-2, -1, 1, 2]
-    one = integrate_with_branch_tracking(F, SliceCircle(0.0, 1.0, u, 1.0), n).value
-    residuals = []
-    for m in turns:
-        vm = integrate_with_branch_tracking(F, SliceCircle(0.0, 1.0, u, float(m)), n).value
-        residuals.append((vm - float(m) * one).norm() / max(1.0, abs(m)))
+    values = {m: integrate_with_branch_tracking(F, SliceCircle(0.0, 1.0, u, float(m)), n).value
+              for m in turns}
+    residuals = [(values[m] - float(m) * values[1]).norm() / max(1.0, abs(m)) for m in turns]
     return CheckReport.within(
         "winding_additivity", residuals, tol.winding,
         {"steps": n, "turns": turns,

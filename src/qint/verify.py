@@ -15,7 +15,7 @@ from .functions import AnalyticFunction, antiderivative
 from .integrate import (EXACT_FLOOR, _integrate_by_parts, convergence_study,
                         endpoint_reference, integrate)
 from .paths import Line, Path
-from .quaternion import Quaternion, _finite
+from .quaternion import ZERO, Quaternion, _finite
 from .slices import decompose_delta
 
 # Default base point for the indefinite integral in the inverse direction.
@@ -150,21 +150,16 @@ def inverse_ftc_residual(F: AnalyticFunction, x: Quaternion, delta: Quaternion,
     """|[G(x+delta) - G(x)] - differential(F, x, delta)| for the indefinite
     staircase integral G(y) from the fixed base point DEFAULT_BASE.
 
-    G(x+delta) extends G(x)'s path by two legs, the parallel increment first
-    and then the perpendicular one. The base leg is computed once and shared
-    by both G values, so it cancels up to rounding: ((g + a) + b) - g differs
-    from a + b by about 4e-16 unless x is DEFAULT_BASE, where g = 0. A
-    differential or residual out of range raises DomainError.
+    G(x+delta) extends G(x)'s path by the parallel leg, then the perpendicular
+    one, integrated even if empty as the one leg that evaluates F at x_mid; an
+    empty base or parallel leg is ZERO. The base leg is shared by both G values, so
+    it cancels up to rounding: ((g + a) + b) - g differs from a + b by about 4e-16
+    unless x is DEFAULT_BASE. A differential or residual out of range raises DomainError.
     """
-    split = decompose_delta(x, delta)
-    x_mid = x + split.parallel
-    x_end = x + delta
-    if (DEFAULT_BASE - x).norm() == 0.0:
-        g_x = Quaternion(0.0, 0.0, 0.0, 0.0)
-    else:
-        g_x = integrate(F, Line(DEFAULT_BASE, x), steps).value
-    leg_par = integrate(F, Line(x, x_mid), steps).value
-    leg_perp = integrate(F, Line(x_mid, x_end), steps).value
+    x_mid = x + decompose_delta(x, delta).parallel
+    g_x, leg_par = (integrate(F, Line(a, b), steps).value if a != b else ZERO
+                    for a, b in ((DEFAULT_BASE, x), (x, x_mid)))
+    leg_perp = integrate(F, Line(x_mid, x + delta), steps).value
     g_x_delta = g_x + leg_par + leg_perp
     try:
         res = ((g_x_delta - g_x) - differential(F, x, delta)).norm()

@@ -1,18 +1,21 @@
+import inspect
 import math
+import sys
 from dataclasses import fields, replace
 
 import pytest
 
 from conftest import FORKS, assert_no_child_left
-from qint import (CheckReport, DomainError, Line, Monomial, NamedFunction,
-                  PolyLine, PowerSeries, Quaternion, SliceCircle, Tolerances,
-                  UnitImaginary, UnsupportedFunctionError, differential, eval_function,
-                  inverse_ftc_residual, tolerances_from_env, verify_antiderivative_map,
-                  verify_ftc_forward, verify_ftc_inverse, verify_integration_by_parts)
+from qint import (ZERO, CheckReport, DegenerateSliceError, DomainError, Line, Monomial,
+                  NamedFunction, PolyLine, PowerSeries, Quaternion, SliceCircle, Tolerances,
+                  UnitImaginary, UnsupportedFunctionError, decompose_delta, differential,
+                  eval_function, integrate, inverse_ftc_residual, tolerances_from_env,
+                  verify_antiderivative_map, verify_ftc_forward, verify_ftc_inverse,
+                  verify_integration_by_parts)
 from qint.suite import (EXTRA_CHECKS, catalog_functions, catalog_paths, check_antiderivative,
-                        check_exact_identities, check_mutual_oracle, check_winding,
-                        run_suite)
-from qint.verify import by_parts_residual
+                        check_exact_identities, check_inverse_ftc, check_mutual_oracle,
+                        check_winding, check_winding_additivity, run_suite)
+from qint.verify import DEFAULT_BASE, by_parts_residual
 
 X = Monomial(1)
 X2 = Monomial(2)
@@ -148,6 +151,32 @@ class TestFtcInverse:
         res = inverse_ftc_residual(X2, Quaternion(1, 1, 0, 0),
                                    Quaternion(0, 0, 0, 0), 100)
         assert res <= 1e-15
+
+    # x is DEFAULT_BASE or not; delta is perpendicular to x's slice (so the
+    # parallel leg is empty) or has both parts; each case names its empty legs
+    @pytest.mark.parametrize("x,delta,empty", [
+        (DEFAULT_BASE, Quaternion(0, 0, 0.01, 0), [True, True, False]),
+        (DEFAULT_BASE, Quaternion(0.01, 0.02, -0.01, 0.005), [True, False, False]),
+        (Quaternion(0.5, 0, 2, 0), Quaternion(0, 0.01, 0, 0.02), [False, True, False]),
+        (Quaternion(0.5, 0, 2, 0), Quaternion(0.01, 0.02, -0.01, 0.005), [False, False, False]),
+    ], ids=["base-perp", "base-both", "off_base-perp", "off_base-both"])
+    def test_residual_sums_the_non_empty_legs(self, x, delta, empty):
+        x_mid = x + decompose_delta(x, delta).parallel
+        legs = [(DEFAULT_BASE, x), (x, x_mid), (x_mid, x + delta)]
+        assert [a == b for a, b in legs] == empty
+        g_x, leg_par, leg_perp = (ZERO if e else integrate(X3, Line(a, b), 1000).value
+                                  for (a, b), e in zip(legs, empty))
+        expected = ((g_x + leg_par + leg_perp - g_x) - differential(X3, x, delta)).norm()
+        assert inverse_ftc_residual(X3, x, delta, 1000) == expected
+
+    def test_an_empty_perpendicular_leg_is_still_integrated(self):
+        # delta lies in the slice, so x + delta's parallel part is 1, on the real
+        # axis, and only the (empty) perpendicular leg evaluates ln there
+        x, delta = Quaternion(1, 1, 0, 0), Quaternion(0, -1, 0, 0)
+        assert decompose_delta(x, delta).perp == ZERO
+        with pytest.raises(DegenerateSliceError) as exc:
+            inverse_ftc_residual(NamedFunction("ln"), x, delta, 100)
+        assert exc.value.s_param == 0.0
 
     def test_base_equal_to_x_skips_the_shared_leg(self):
         from qint.verify import DEFAULT_BASE
@@ -358,6 +387,35 @@ def test_every_case_list_has_one_entry_per_residual():
     identities = check_exact_identities(tol)
     assert identities.config["families"] == list(identities.config["samples"])
     assert len(identities.config["families"]) == len(identities.residuals)
+
+
+@pytest.mark.parametrize("check", [check_inverse_ftc, check_winding_additivity],
+                         ids=["inverse_ftc", "winding_additivity"])
+def test_no_check_repeats_a_staircase_or_integrates_an_empty_leg(check, monkeypatch):
+    calls = []
+    for module, name in (("qint.verify", "integrate"),
+                         ("qint.suite", "integrate_with_branch_tracking")):
+        fn = getattr(sys.modules[module], name)
+
+        def record(*args, fn=fn, **kwargs):
+            bound = inspect.signature(fn).bind(*args, **kwargs)
+            bound.apply_defaults()
+            calls.append((fn.__name__, *bound.arguments.values()))
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(sys.modules[module], name, record)
+    check(Tolerances())
+    assert calls
+    # (function, F, path, steps, rule), the rule only where the function takes one
+    keys = [(name, repr(F.to_json()), repr(path.to_json()), *rest)
+            for name, F, path, *rest in calls]
+    assert len(set(keys)) == len(keys)
+    assert not [path for _, _, path, *_ in calls if isinstance(path, Line) and path.a == path.b]
+
+
+def test_inverse_ftc_slope_is_one_float_on_every_python():
+    # a least-squares fit through math.fsum; statistics.linear_regression
+    # gives 2.0000033809604187 on Python 3.12 and 3.13
+    assert check_inverse_ftc(Tolerances()).config["slope"] == 2.0000033809604183
 
 
 def test_unknown_suite_name_raises():
