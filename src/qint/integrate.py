@@ -12,7 +12,7 @@ import threading
 from array import array
 from dataclasses import dataclass, field
 from operator import add, sub
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from .differential import _differential, _differential_columns
 from .errors import (DegenerateSliceError, DomainError, MissingReferenceError, QintError,
@@ -185,12 +185,14 @@ def _columns(F: AnalyticFunction, path: Path, steps: int, lag: float,
 
 def _workers(chunks: int) -> int:
     """Processes to share the chunks: one per CPU this process may run on,
-    where os.fork exists. One while another thread is alive, because a forked
+    where os.fork exists, but no more than give each process two chunks: a
+    fork costs milliseconds of CPU, and two processes beat one only from
+    four chunks on. One while another thread is alive, because a forked
     copy of a threaded process can deadlock on a lock some thread held."""
     if (not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
             or threading.active_count() > 1):
         return 1
-    return min(len(os.sched_getaffinity(0)), chunks)
+    return min(len(os.sched_getaffinity(0)), chunks // 2) or 1
 
 
 def _staircase_sum(term: Callable[..., Sequence[float]], F: AnalyticFunction, path: Path,
@@ -203,21 +205,23 @@ def _staircase_sum(term: Callable[..., Sequence[float]], F: AnalyticFunction, pa
     Each chunk is summed by _pairs and the pairs added by _add in s order, so
     the value depends on the terms only; with one chunk it is _pairs' value.
 
-    Chunks are shared with forked children (see _workers) through a queue:
-    a pipe of 4-byte claims, written whole before the first fork and closed
-    for writing. Nothing reads it yet, so it must fit select.PIPE_BUF bytes,
-    the least buffer POSIX grants a pipe (4096 for a Linux user past
-    pipe-user-pages-soft), or the write would block for ever. Each process
-    sums one claim's chunks at a time until the queue is empty, so a faster
-    CPU sums more. Each chunk's pairs go into its slot of one block shared
-    by all the processes, and then a mark of its own is set: a NaN in their
-    place would not do, as a copy cut short can leave a wrong finite double.
-    A fault empties the queue. This process then waits for every child,
-    which ends once the queue is empty, adds the slots' pairs in s order,
-    and sums itself any chunk whose slot is unmarked (one that faulted, or
-    whose child died or was not forked), so a fault is always raised here,
-    by the first faulty chunk along the path, with the fold's own type,
-    message and s; a total out of range is named by its chunk's last s.
+    Where _workers gives more than one process, chunks are shared with
+    forked children through a queue: a pipe of 4-byte claims, written whole
+    before the first fork and closed for writing. Nothing reads it yet, so it
+    must fit select.PIPE_BUF bytes, the least buffer POSIX grants a pipe
+    (4096 for a Linux user past pipe-user-pages-soft), or the write would
+    block for ever. Each process sums one claim's chunks at a time until the
+    queue is empty, so a faster CPU sums more. Each chunk's pairs go into its
+    slot of one block shared by all the processes, and then a mark of its own
+    is set: a NaN in their place would not do, as a copy cut short can leave
+    a wrong finite double. A fault empties the queue. This process then waits
+    for every child, which ends once the queue is empty. The closing fold adds
+    the pairs in s order and sums itself each chunk whose slot is unmarked:
+    every chunk where one process sums the staircase alone, else one that
+    faulted, or whose child died or was not forked. So a fault is always
+    raised here, by the first faulty chunk along the path, with the fold's
+    own type, message and s; a total out of range is named by its chunk's
+    last s.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -235,24 +239,20 @@ def _staircase_sum(term: Callable[..., Sequence[float]], F: AnalyticFunction, pa
         return _pairs(by_columns or _staircase(term, F, path, steps, lag, first),
                       lambda i: (first + i - lag) * inv)
 
-    def claimed() -> Iterator[int]:  # the chunks of each claim read from the queue
-        while claim := os.read(queue, 4):  # a claim's first chunk
-            yield from range(n)[int.from_bytes(claim, "little"):][:per]
-
-    def sums(chunks: Iterable[int]) -> None:  # into their slots, up to the first fault
+    def sums() -> None:  # each claim's chunks into their slots, up to the first fault
         try:
-            for k in chunks:
-                slots[k * size + 1:(k + 1) * size] = array("d", [x for p in chunk(k) for x in p])
-                slots[k * size] = 1.0  # marked only once its pairs are whole
+            while claim := os.read(queue, 4):  # a claim's first chunk
+                for k in range(n)[int.from_bytes(claim, "little"):][:per]:
+                    slots[k * size + 1:(k + 1) * size] = array("d", sum(chunk(k), ()))
+                    slots[k * size] = 1.0  # marked only once its pairs are whole
         except Exception:  # summed again below, where it raises unless an earlier chunk does,
-            if queue is not None:  # so no claim still queued, all past it, is needed: drop them
-                os.read(queue, select.PIPE_BUF)
+            os.read(queue, select.PIPE_BUF)  # so no claim still queued, all past it, is needed
 
-    pids, queue, workers = [], None, _workers(n)
-    try:
-        if workers > 1:
+    pids, workers = [], _workers(n)
+    if workers > 1:  # else this process sums every chunk in the fold below
+        queue, w = os.pipe()
+        try:
             per = -(-n // (select.PIPE_BUF // 4))  # chunks per claim: the queue must fit PIPE_BUF
-            queue, w = os.pipe()
             os.write(w, b"".join(k.to_bytes(4, "little") for k in range(0, n, per)))
             os.close(w)  # so that reading the empty queue returns EOF
             for _ in range(workers - 1):
@@ -262,20 +262,19 @@ def _staircase_sum(term: Callable[..., Sequence[float]], F: AnalyticFunction, pa
                     break
                 if pid == 0:  # the child: no exception, output or exit handler of its own
                     try:
-                        sums(claimed())
+                        sums()
                     finally:
                         os._exit(0)
                 pids.append(pid)
-        sums(range(n) if queue is None else claimed())
-    except BaseException:  # the children's sums will not be read
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        if queue is not None:
+            sums()
+        except BaseException:  # the children's sums will not be read
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
             os.close(queue)
-        for pid in pids:  # each ends once the queue is empty
-            os.waitpid(pid, 0)
+            for pid in pids:  # each ends once the queue is empty
+                os.waitpid(pid, 0)
     total = None
     for k, first in enumerate(firsts):
         slot = slots[k * size:(k + 1) * size]
@@ -302,11 +301,11 @@ def integrate(F: AnalyticFunction, path: Path, steps: int,
     the evaluation point's s.
 
     _staircase_sum sums the terms in chunks of _SUM_CHUNK, shared among the
-    CPUs: by columns (_columns) where every evaluation point has _TINY_R <=
-    r < inf, else by the row walk (_staircase), which gives the same terms
-    and names the s at fault. The value is the same on any machine and
-    whichever process summed which chunk, and a failure is the first one
-    along the path.
+    CPUs where each gets two (see _workers): by columns (_columns) where
+    every evaluation point has _TINY_R <= r < inf, else by the row walk
+    (_staircase), which gives the same terms and names the s at fault. The
+    value is the same on any machine and whichever process summed which
+    chunk, and a failure is the first one along the path.
     """
     if rule not in ("left", "midpoint"):
         raise ValueError(f"unknown rule {rule!r}; expected 'left' or 'midpoint'")

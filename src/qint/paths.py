@@ -79,9 +79,7 @@ class PolyLine(Path):
     def coords(self, s: float) -> _Coords:
         k = len(self._segments)
         t = s * k
-        seg = min(int(math.floor(t)), k - 1)
-        if seg < 0:
-            seg = 0
+        seg = min(max(int(t), 0), k - 1)  # int and floor differ only below 0, clamped to 0
         return self._segments[seg].coords(t - seg)
 
     def to_json(self) -> dict:
@@ -109,9 +107,8 @@ class SliceCircle(Path):
     def coords(self, s: float) -> _Coords:
         t = self.turns * s
         th = TAU * (t - math.floor(t))
-        b = self.radius * math.sin(th)
-        return (self.center + self.radius * math.cos(th),
-                b * self.u.x1, b * self.u.x2, b * self.u.x3)
+        b, u = self.radius * math.sin(th), self.u.value  # no property call per component
+        return self.center + self.radius * math.cos(th), b * u.x1, b * u.x2, b * u.x3
 
     def to_json(self) -> dict:
         return {"kind": "circle", "center": self.center, "radius": self.radius,

@@ -744,6 +744,48 @@ def test_no_fork_while_another_thread_is_alive(cpus, monkeypatch):
                                                 STEPS, 1.0))
 
 
+@FORKS
+def test_a_fork_needs_two_chunks_per_process(cpus, monkeypatch):
+    F, path, fork, children = NamedFunction("exp"), KERNEL_PATHS["line"], os.fork, []
+
+    def counted():  # the real fork; a child appends only to its own copy of the list
+        pid = fork()
+        children.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    cpus(4)
+    for chunks, forks in ((2, 0), (3, 0), (4, 1), (8, 3)):
+        steps = chunks * _SUM_CHUNK
+        want = Quaternion(*sequential_fold(F, path, steps, 1.0))
+        children.clear()
+        assert integrate(F, path, steps).value == want
+        assert len(children) == forks
+        assert_no_child_left()
+
+
+def test_a_lone_process_sums_each_chunk_once_the_faulty_one_too(cpus, monkeypatch):
+    F, path = FAULTS["disk"]
+    with pytest.raises(QintError) as want:
+        sequential_fold(F, path, STEPS, 1.0)
+    faulty = round(want.value.s_param * STEPS) // _SUM_CHUNK * _SUM_CHUNK + 1  # its first step
+    assert faulty > _SUM_CHUNK
+    module = sys.modules["qint.integrate"]
+    columns, firsts = module._columns, []
+
+    def logged(F, path, steps, lag, first):  # every chunk of this staircase goes through here
+        firsts.append(first)
+        return columns(F, path, steps, lag, first)
+
+    monkeypatch.setattr(module, "_columns", logged)
+    cpus(1)
+    with pytest.raises(QintError) as got:
+        integrate(F, path, STEPS)
+    assert firsts == list(range(1, faulty + 1, _SUM_CHUNK))
+    assert type(got.value) is type(want.value)
+    assert (str(got.value), got.value.s_param) == (str(want.value), want.value.s_param)
+
+
 LN = NamedFunction("ln")
 
 
