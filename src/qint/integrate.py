@@ -11,16 +11,16 @@ import signal
 import threading
 from array import array
 from dataclasses import dataclass, field
-from operator import add, sub
+from operator import add
 from typing import Callable, Sequence
 
-from .differential import _differential, _differential_columns
+from .differential import _differential
 from .errors import (DegenerateSliceError, DomainError, MissingReferenceError, QintError,
                      SliceEscapeError, StepTooCoarseError, UnsupportedFunctionError)
 from .functions import AnalyticFunction, NamedFunction
 from .paths import Path
 from .quaternion import Quaternion, _hamilton
-from .slices import UnitImaginary, _lift, eval_function
+from .slices import _TINY_R, UnitImaginary, _lift, eval_function
 
 # Errors at or below this are treated as exact (pure rounding noise), both for
 # the "exact" verdict and for excluding points from log-log order fits.
@@ -150,8 +150,8 @@ def _staircase(term: Callable[..., Sequence[float]], F: AnalyticFunction, path: 
     """The row walk: one chunk of rows term(F, x_eval, x_n - x_{n-1}), n =
     first, ..., min(first + _SUM_CHUNK - 1, steps), x_eval at s = (n - lag) /
     steps, on bare floats as in _differential's signature, returned as
-    columns; with term = _differential, differential()'s terms bit for bit,
-    and no Quaternion per step. A failure names the s of its evaluation point."""
+    columns; integrate's _differential_walk gives the same floats. A failure
+    names the s of its evaluation point."""
     coords = path.coords
     midpoint = lag != 1.0
     inv = 1.0 / steps
@@ -168,19 +168,43 @@ def _staircase(term: Callable[..., Sequence[float]], F: AnalyticFunction, path: 
     return list(zip(*rows))
 
 
-def _columns(F: AnalyticFunction, path: Path, steps: int, lag: float,
-             first: int) -> list[list[float]] | None:
-    """_staircase(_differential, ...)'s chunk by columns, through
-    _differential_columns: the points come from map(path.coords, ...), the
-    same floats the row walk reads. None where the kernel does not apply."""
-    inv = 1.0 / steps
-    ns = range(first, min(first + _SUM_CHUNK, steps + 1))
-    W, A1, A2, A3 = zip(*map(path.coords, [n * inv for n in range(first - 1, ns.stop)]))
-    if lag == 1.0:  # the left rule evaluates where each chord starts
-        points = W[:-1], A1[:-1], A2[:-1], A3[:-1]
-    else:
-        points = zip(*map(path.coords, [(n - lag) * inv for n in ns]))
-    return _differential_columns(F, *points, *(map(sub, A[1:], A) for A in (W, A1, A2, A3)))
+def _differential_walk(term: Callable[..., Sequence[float]], F: AnalyticFunction, path: Path,
+                       steps: int, lag: float, first: int) -> list[list[float]]:
+    """_staircase's chunk, bit for bit, for term = _differential or
+    _off_axis_differential. Where _TINY_R <= r < inf, _differential's
+    formula runs inline: the same calls in the same order (f', then f unless
+    F's eval_complex is its deriv_complex, as for exp), the same expressions.
+    Any other point (the real axis, a tiny, infinite or NaN r) takes the row
+    term itself. A failure names the s of its evaluation point."""
+    coords, hypot, f_prime, f = path.coords, math.hypot, F.deriv_complex, F.eval_complex
+    midpoint, inv = lag != 1.0, 1.0 / steps
+    pw, p1, p2, p3 = coords((first - 1) * inv)  # the float the previous step ended on
+    W, V1, V2, V3 = columns = [[], [], [], []]
+    try:
+        for n in range(first, min(first + _SUM_CHUNK, steps + 1)):
+            w, a1, a2, a3 = coords(n * inv)
+            xw, x1, x2, x3 = coords((n - lag) * inv) if midpoint else (pw, p1, p2, p3)
+            dw, d1, d2, d3 = w - pw, a1 - p1, a2 - p2, a3 - p3
+            pw, p1, p2, p3 = w, a1, a2, a3
+            r = hypot(x1, x2, x3)
+            if not _TINY_R <= r < math.inf:
+                for column, v in zip(columns, term(F, xw, x1, x2, x3, dw, d1, d2, d3)):
+                    column.append(v)
+                continue
+            z = complex(xw, r)
+            fp = f_prime(z)
+            q = (fp if f is f_prime else f(z)).imag / r
+            c, d = fp.real, fp.imag
+            u1, u2, u3 = x1 / r, x2 / r, x3 / r
+            t = d1 * u1 + d2 * u2 + d3 * u3
+            pv = c * t + d * dw
+            W.append(c * dw - d * t)
+            V1.append(pv * u1 + q * (d1 - t * u1))
+            V2.append(pv * u2 + q * (d2 - t * u2))
+            V3.append(pv * u3 + q * (d3 - t * u3))
+    except (OverflowError, QintError) as e:
+        raise _located(e, (n - lag) * inv)
+    return columns
 
 
 def _workers(chunks: int) -> int:
@@ -196,12 +220,11 @@ def _workers(chunks: int) -> int:
 
 
 def _staircase_sum(term: Callable[..., Sequence[float]], F: AnalyticFunction, path: Path,
-                   steps: int, lag: float, width: int,
-                   columns: Callable | None = None) -> list[float]:
+                   steps: int, lag: float, width: int, walk: Callable = _staircase) -> list[float]:
     """The sums of the width columns of term's rows over all steps: the one
     staircase sum behind integrate, branch tracking and by-parts. A chunk's
-    columns are columns(F, path, steps, lag, first) where given, else, or
-    where that is None or raises, those of the row walk _staircase(term, ...).
+    columns are walk(term, F, path, steps, lag, first): the row walk
+    _staircase, or integrate's _differential_walk, which gives its floats.
     Each chunk is summed by _pairs and the pairs added by _add in s order, so
     the value depends on the terms only; with one chunk it is _pairs' value.
 
@@ -232,12 +255,7 @@ def _staircase_sum(term: Callable[..., Sequence[float]], F: AnalyticFunction, pa
 
     def chunk(k: int) -> list[tuple[float, float]]:
         first = firsts[k]
-        try:
-            by_columns = columns and columns(F, path, steps, lag, first)
-        except (OverflowError, QintError):  # the row walk names the s at fault
-            by_columns = None
-        return _pairs(by_columns or _staircase(term, F, path, steps, lag, first),
-                      lambda i: (first + i - lag) * inv)
+        return _pairs(walk(term, F, path, steps, lag, first), lambda i: (first + i - lag) * inv)
 
     def sums() -> None:  # each claim's chunks into their slots, up to the first fault
         try:
@@ -301,17 +319,17 @@ def integrate(F: AnalyticFunction, path: Path, steps: int,
     the evaluation point's s.
 
     _staircase_sum sums the terms in chunks of _SUM_CHUNK, shared among the
-    CPUs where each gets two (see _workers): by columns (_columns) where
-    every evaluation point has _TINY_R <= r < inf, else by the row walk
-    (_staircase), which gives the same terms and names the s at fault. The
-    value is the same on any machine and whichever process summed which
-    chunk, and a failure is the first one along the path.
+    CPUs where each gets two (see _workers), each chunk in one
+    _differential_walk: only a point on the real axis or with r < 2**-511
+    takes the row term, not its whole chunk. The value is the same on any
+    machine and whichever process summed which chunk, and a failure is the
+    first one along the path.
     """
     if rule not in ("left", "midpoint"):
         raise ValueError(f"unknown rule {rule!r}; expected 'left' or 'midpoint'")
     lag = 0.5 if rule == "midpoint" else 1.0
     term = _differential if F.is_entire else _off_axis_differential
-    value = _staircase_sum(term, F, path, steps, lag, 4, _columns)
+    value = _staircase_sum(term, F, path, steps, lag, 4, _differential_walk)
     return _single_report(steps, Quaternion(*value), _try_reference(F, path))
 
 

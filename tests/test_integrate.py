@@ -119,16 +119,20 @@ def test_quadrature_validates_steps():
 @settings(max_examples=10, deadline=None)
 @given(st.tuples(*(st.floats(-1, 1) for _ in range(4))),
        st.tuples(*(st.floats(-1, 1) for _ in range(4))))
+# at N = 200 both errors are about 4e-5 and of one sign, so the two values
+# nearly agree there; at N = 800 their gap is 0.97 times that at N = 200,
+# while each error falls by 5x and 16x
+@example((0.892578125, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0))
 def test_staircase_and_quadrature_agree_increasingly(a4, b4):
+    # each method converges on its own to F(b) - F(a): their gap at N can be
+    # small where the two errors happen to cancel
     a, b = Quaternion(*a4), Quaternion(*b4)
     F = PowerSeries((0.5, 1.0, -2.0, 1.5))
     path = Line(a, b)
-    gaps = []
-    for n in (200, 800):
-        va = integrate(F, path, n).value
-        vb = integrate_slice_quadrature(F, path, n).value
-        gaps.append((va - vb).norm())
-    assert gaps[1] <= gaps[0] * 0.5 + 1e-12
+    ref = endpoint_reference(F, path)
+    for method in (integrate, integrate_slice_quadrature):
+        errors = [(method(F, path, n).value - ref).norm() for n in (200, 800)]
+        assert errors[1] <= errors[0] * 0.5 + 1e-12
 
 
 def test_closed_loop_of_entire_function_is_small():
@@ -468,8 +472,8 @@ def test_value_does_not_depend_on_the_worker_count(fn, rule, cpus):
     assert_no_child_left()
 
 
-# chunks the column kernel must leave to the row walk, which handles r == 0
-# and r < 2**-511 on its own branches
+# points the inline differential must leave to the row term, which handles
+# r == 0 and r < 2**-511 on its own branches
 ROW_WALK_PATHS = {
     # the left rule's point at s = 1/16, step 513 of 8192, is on the real axis
     "axis": Line(Quaternion(1, -1, 0, 0), Quaternion(1, 15, 0, 0)),
@@ -481,13 +485,26 @@ ROW_WALK_PATHS = {
 @pytest.mark.parametrize("rule", ["left", "midpoint"])
 @pytest.mark.parametrize("fn", ["x3", "exp"])
 @pytest.mark.parametrize("path", list(ROW_WALK_PATHS))
-def test_chunks_with_a_real_axis_or_tiny_r_point_equal_the_row_walk(path, fn, rule, cpus):
+def test_chunks_with_a_real_axis_or_tiny_r_point_equal_the_row_walk(path, fn, rule, cpus,
+                                                                    monkeypatch):
     F, P = {"x3": Monomial(3), "exp": NamedFunction("exp")}[fn], ROW_WALK_PATHS[path]
     lag = 1.0 if rule == "left" else 0.5
     want = Quaternion(*sequential_fold(F, P, 8192, lag))
     for k in (1, 4):
         cpus(k)
         assert integrate(F, P, 8192, rule=rule).value == want
+    # one row term per point the formula leaves out, not one per point of its chunk
+    module, calls = sys.modules["qint.integrate"], []
+    row_term = module._differential
+
+    def counted(*args):
+        calls.append(1)
+        return row_term(*args)
+
+    monkeypatch.setattr(module, "_differential", counted)
+    cpus(1)
+    assert integrate(F, P, 8192, rule=rule).value == want
+    assert len(calls) == {"axis": 1 if rule == "left" else 0, "tiny": 8192}[path]
 
 
 def test_ln_on_the_real_axis_mid_chunk_names_its_s(cpus):
@@ -592,18 +609,20 @@ def test_an_interrupt_after_the_forks_kills_every_child(cpus, monkeypatch, tmp_p
 
 
 @FORKS
-def test_a_later_fault_claimed_by_this_process_is_not_the_one_reported(cpus, monkeypatch):
-    # exp overflows from w ~ 709.8 on, at s ~ 0.204: chunk 3 of 16 and every one after it,
-    # and only such a chunk takes the row walk. This process stalls before its first claim,
-    # so the children claim chunk 3 and the next ones and stall in their row walks; this
-    # process then claims a later faulty chunk and meets its fault first. Chunk 3's is reported
+def test_a_later_fault_claimed_by_this_process_is_not_the_one_reported(cpus, monkeypatch,
+                                                                       tmp_path):
+    # exp overflows from w ~ 709.8 on, at s ~ 0.204: chunk 3 of 16 and every one after it.
+    # This process stalls before its first claim, so the children claim chunk 3 and the
+    # next ones and stall in their walks of them; this process then claims a later faulty
+    # chunk and meets its fault first. Chunk 3's is reported
     F, path = NamedFunction("exp"), Line(Quaternion(700, 1, 0, 0), Quaternion(748, 1, 0, 0))
     steps = 16 * _SUM_CHUNK
     with pytest.raises(QintError) as want:
         sequential_fold(F, path, steps, 1.0)
     assert 3 / 16 <= want.value.s_param < 4 / 16
     parent, read, module = os.getpid(), os.read, sys.modules["qint.integrate"]
-    row_walk = module._staircase
+    walk = module._differential_walk
+    stalled = os.open(tmp_path / "stalled", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
 
     def stalled_claim(fd, size):
         if os.getpid() == parent and not stalls:
@@ -611,13 +630,14 @@ def test_a_later_fault_claimed_by_this_process_is_not_the_one_reported(cpus, mon
             time.sleep(0.2)
         return read(fd, size)
 
-    def stalled_row_walk(*args):
-        if os.getpid() != parent:
+    def stalled_walk(term, F, path, steps, lag, first):
+        if os.getpid() != parent and first > 3 * _SUM_CHUNK:
+            os.write(stalled, b"c")
             time.sleep(0.6)
-        return row_walk(*args)
+        return walk(term, F, path, steps, lag, first)
 
     monkeypatch.setattr(os, "read", stalled_claim)
-    monkeypatch.setattr(module, "_staircase", stalled_row_walk)
+    monkeypatch.setattr(module, "_differential_walk", stalled_walk)
     for k in (2, 4):
         cpus(k)
         stalls = []
@@ -627,6 +647,8 @@ def test_a_later_fault_claimed_by_this_process_is_not_the_one_reported(cpus, mon
         assert type(got.value) is type(want.value)
         assert (str(got.value), got.value.s_param) == (str(want.value), want.value.s_param)
         assert_no_child_left()
+    assert os.fstat(stalled).st_size > 0
+    os.close(stalled)
 
 
 class _TornSlots:
@@ -694,14 +716,14 @@ def test_each_chunk_is_claimed_and_summed_once(pipe_buf, cpus, monkeypatch, tmp_
     cpus(1)
     want = integrate(F, path, steps).value
     module = sys.modules["qint.integrate"]
-    columns, firsts = module._columns, tmp_path / "firsts"
+    walk, firsts = module._differential_walk, tmp_path / "firsts"
     log = os.open(firsts, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
 
-    def logged(F, path, steps, lag, first):  # every chunk of this staircase goes through here
+    def logged(term, F, path, steps, lag, first):  # every chunk of this staircase comes here
         os.write(log, b"%d\n" % first)
-        return columns(F, path, steps, lag, first)
+        return walk(term, F, path, steps, lag, first)
 
-    monkeypatch.setattr(module, "_columns", logged)
+    monkeypatch.setattr(module, "_differential_walk", logged)
     if pipe_buf is not None:
         monkeypatch.setattr(select, "PIPE_BUF", pipe_buf)
     for k in (2, 4):
@@ -771,13 +793,14 @@ def test_a_lone_process_sums_each_chunk_once_the_faulty_one_too(cpus, monkeypatc
     faulty = round(want.value.s_param * STEPS) // _SUM_CHUNK * _SUM_CHUNK + 1  # its first step
     assert faulty > _SUM_CHUNK
     module = sys.modules["qint.integrate"]
-    columns, firsts = module._columns, []
+    walk, firsts = module._differential_walk, []
 
-    def logged(F, path, steps, lag, first):  # every chunk of this staircase goes through here
+    def logged(term, F, path, steps, lag, first):  # every chunk of this staircase comes here
         firsts.append(first)
-        return columns(F, path, steps, lag, first)
+        return walk(term, F, path, steps, lag, first)
 
-    monkeypatch.setattr(module, "_columns", logged)
+    monkeypatch.setattr(module, "_differential_walk", logged)
+    monkeypatch.setattr(module, "_staircase", None)  # the faulty chunk is not walked again
     cpus(1)
     with pytest.raises(QintError) as got:
         integrate(F, path, STEPS)
