@@ -18,7 +18,7 @@ from .differential import _differential
 from .errors import (DegenerateSliceError, DomainError, MissingReferenceError, QintError,
                      SliceEscapeError, StepTooCoarseError, UnsupportedFunctionError)
 from .functions import AnalyticFunction, NamedFunction
-from .paths import Path
+from .paths import Line, Path
 from .quaternion import Quaternion, _hamilton
 from .slices import _TINY_R, UnitImaginary, _lift, eval_function
 
@@ -175,33 +175,65 @@ def _differential_walk(term: Callable[..., Sequence[float]], F: AnalyticFunction
     formula runs inline: the same calls in the same order (f', then f unless
     F's eval_complex is its deriv_complex, as for exp), the same expressions.
     Any other point (the real axis, a tiny, infinite or NaN r) takes the row
-    term itself. A failure names the s of its evaluation point."""
+    term itself. A failure names the s of its evaluation point.
+
+    The nodes of a Line (not of a subclass, which may override coords) are
+    computed here with a copy of Line.coords' lerp, the same operations in
+    the same order, so they are its floats; every other path, and the
+    midpoint rule's evaluation point, is read through coords. The tests pin
+    the copy: test_kernel_equals_summed_public_differentials and
+    test_value_does_not_depend_on_the_worker_count hold its floats, and
+    test_a_lines_nodes_are_computed_in_the_walk_and_other_paths_read_coords
+    which paths call coords."""
     coords, hypot, f_prime, f = path.coords, math.hypot, F.deriv_complex, F.eval_complex
+    inf, f_is_f_prime, line = math.inf, f is f_prime, type(path) is Line
     midpoint, inv = lag != 1.0, 1.0 / steps
+    if line:
+        (aw, a1, a2, a3), (bw, b1, b2, b3) = path._ends
     pw, p1, p2, p3 = coords((first - 1) * inv)  # the float the previous step ended on
-    W, V1, V2, V3 = columns = [[], [], [], []]
+    ns = range(first, min(first + _SUM_CHUNK, steps + 1))
+    W, V1, V2, V3 = columns = [[0.0] * len(ns) for _ in range(4)]
     try:
-        for n in range(first, min(first + _SUM_CHUNK, steps + 1)):
-            w, a1, a2, a3 = coords(n * inv)
-            xw, x1, x2, x3 = coords((n - lag) * inv) if midpoint else (pw, p1, p2, p3)
-            dw, d1, d2, d3 = w - pw, a1 - p1, a2 - p2, a3 - p3
-            pw, p1, p2, p3 = w, a1, a2, a3
+        for i, n in enumerate(ns):
+            if line:  # Line.coords(n * inv)
+                s = n * inv
+                t = 1.0 - s
+                w = t * aw + s * bw
+                y1 = t * a1 + s * b1
+                y2 = t * a2 + s * b2
+                y3 = t * a3 + s * b3
+            else:
+                w, y1, y2, y3 = coords(n * inv)
+            if midpoint:
+                xw, x1, x2, x3 = coords((n - lag) * inv)
+            else:
+                xw = pw
+                x1 = p1
+                x2 = p2
+                x3 = p3
+            dw = w - pw
+            d1 = y1 - p1
+            d2 = y2 - p2
+            d3 = y3 - p3
+            pw = w
+            p1 = y1
+            p2 = y2
+            p3 = y3
             r = hypot(x1, x2, x3)
-            if not _TINY_R <= r < math.inf:
-                for column, v in zip(columns, term(F, xw, x1, x2, x3, dw, d1, d2, d3)):
-                    column.append(v)
+            if not _TINY_R <= r < inf:
+                W[i], V1[i], V2[i], V3[i] = term(F, xw, x1, x2, x3, dw, d1, d2, d3)
                 continue
             z = complex(xw, r)
             fp = f_prime(z)
-            q = (fp if f is f_prime else f(z)).imag / r
+            q = (fp if f_is_f_prime else f(z)).imag / r
             c, d = fp.real, fp.imag
             u1, u2, u3 = x1 / r, x2 / r, x3 / r
             t = d1 * u1 + d2 * u2 + d3 * u3
             pv = c * t + d * dw
-            W.append(c * dw - d * t)
-            V1.append(pv * u1 + q * (d1 - t * u1))
-            V2.append(pv * u2 + q * (d2 - t * u2))
-            V3.append(pv * u3 + q * (d3 - t * u3))
+            W[i] = c * dw - d * t
+            V1[i] = pv * u1 + q * (d1 - t * u1)
+            V2[i] = pv * u2 + q * (d2 - t * u2)
+            V3[i] = pv * u3 + q * (d3 - t * u3)
     except (OverflowError, QintError) as e:
         raise _located(e, (n - lag) * inv)
     return columns

@@ -45,14 +45,16 @@ class Line(Path):
 
     a: Quaternion
     b: Quaternion
-    # the components of a and b, read by coords without a Quaternion attribute each
+    # the components of a and b, read by coords (and by integrate's
+    # _differential_walk) without a Quaternion attribute each
     _ends: tuple[_Coords, _Coords] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_ends", (tuple(self.a.to_list()), tuple(self.b.to_list())))
 
     def coords(self, s: float) -> _Coords:
-        # (1-s)*a + s*b hits both endpoints exactly, unlike a + s*(b-a)
+        # (1-s)*a + s*b hits both endpoints exactly, unlike a + s*(b-a);
+        # integrate's _differential_walk copies these operations, in this order
         (aw, a1, a2, a3), (bw, b1, b2, b3) = self._ends
         t = 1.0 - s
         return t * aw + s * bw, t * a1 + s * b1, t * a2 + s * b2, t * a3 + s * b3

@@ -462,13 +462,16 @@ def sequential_fold(F, path, steps, lag):
 @pytest.mark.parametrize("fn", list(catalog_functions()))
 def test_value_does_not_depend_on_the_worker_count(fn, rule, cpus):
     # under any worker count, the value is this process's own chunk-by-chunk fold
-    F, steps = catalog_functions()[fn], 12305  # 13 chunks, the last one short
-    lag = 1.0 if rule == "left" else 0.5
-    want = [Quaternion(*sequential_fold(F, path, steps, lag)) for path in catalog_paths().values()]
-    for k in (1, 2, 3, 4):
-        cpus(k)
-        assert [integrate(F, path, steps, rule=rule).value
-                for path in catalog_paths().values()] == want
+    F, lag = catalog_functions()[fn], 1.0 if rule == "left" else 0.5
+    # 13 chunks, the last one short; and one chunk whose last node on a line,
+    # at 49 * (1/49) = 1 - 2**-53, is Line.coords' float there, not the end b
+    for steps in (12305, 49):
+        want = [Quaternion(*sequential_fold(F, path, steps, lag))
+                for path in catalog_paths().values()]
+        for k in (1, 2, 3, 4):
+            cpus(k)
+            assert [integrate(F, path, steps, rule=rule).value
+                    for path in catalog_paths().values()] == want
     assert_no_child_left()
 
 
@@ -505,6 +508,45 @@ def test_chunks_with_a_real_axis_or_tiny_r_point_equal_the_row_walk(path, fn, ru
     cpus(1)
     assert integrate(F, P, 8192, rule=rule).value == want
     assert len(calls) == {"axis": 1 if rule == "left" else 0, "tiny": 8192}[path]
+
+
+class ReversedLine(Line):
+    """The segment from b to a: a Line subclass with coords of its own."""
+
+    def coords(self, s):
+        return Line.coords(self, 1.0 - s)
+
+
+def test_a_lines_nodes_are_computed_in_the_walk_and_other_paths_read_coords(cpus, monkeypatch):
+    # Line.coords gives a Line's walk the node before each chunk and, at the
+    # midpoint rule, each evaluation point; endpoint_reference reads both ends
+    steps = 3 * _SUM_CHUNK + 17
+    inv = 1.0 / steps
+    chunks = [range(first, min(first + _SUM_CHUNK, steps + 1))
+              for first in range(1, steps + 1, _SUM_CHUNK)]
+    ends = [0.0, 1.0]
+    coords, calls = Line.coords, []
+
+    def logged(self, s):
+        calls.append(s)
+        return coords(self, s)
+
+    monkeypatch.setattr(Line, "coords", logged)
+    cpus(1)
+    F = NamedFunction("exp")
+    integrate(F, KERNEL_PATHS["line"], steps)
+    assert calls == [(ns[0] - 1) * inv for ns in chunks] + ends
+    calls.clear()
+    integrate(F, KERNEL_PATHS["line"], steps, rule="midpoint")
+    assert calls == [s for ns in chunks
+                     for s in [(ns[0] - 1) * inv, *((n - 0.5) * inv for n in ns)]] + ends
+    # every node of any other path goes through its coords: a PolyLine's
+    # segments' coords, or the coords of a Line subclass, which may not be Line's
+    a, b = KERNEL_PATHS["line"].a, KERNEL_PATHS["line"].b
+    for path in (KERNEL_PATHS["polyline"], ReversedLine(a, b)):
+        calls.clear()
+        integrate(F, path, steps)
+        assert len(calls) == steps + len(chunks) + len(ends)
 
 
 def test_ln_on_the_real_axis_mid_chunk_names_its_s(cpus):
