@@ -33,6 +33,13 @@ class AnalyticFunction:
         """False for functions with a branch point (their value is path dependent)."""
         return True
 
+    @property
+    def singular_points(self) -> tuple[float, ...]:
+        """The real points where F has a pole or a branch point; a staircase
+        chord across one is meaningless. An entire function has none, and so
+        has a series, whose disk holds every chord between two nodes in it."""
+        return ()
+
     def to_json(self) -> dict:
         raise NotImplementedError
 
@@ -175,15 +182,16 @@ class _NamedSpec:
     deriv: Callable[[complex], complex]
     entire: bool
     single_valued: bool
+    singular: tuple[float, ...] = ()
 
 
 _NAMED: dict[str, _NamedSpec] = {
     "exp": _NamedSpec(cmath.exp, cmath.exp, True, True),
     "sin": _NamedSpec(cmath.sin, cmath.cos, True, True),
     "cos": _NamedSpec(cmath.cos, _neg_sin, True, True),
-    "ln": _NamedSpec(_ln_eval, _ln_deriv, False, False),
-    "ln1m": _NamedSpec(_ln1m_eval, _ln1m_deriv, False, False),
-    "reciprocal": _NamedSpec(_reciprocal_eval, _reciprocal_deriv, False, True),
+    "ln": _NamedSpec(_ln_eval, _ln_deriv, False, False, (0.0,)),
+    "ln1m": _NamedSpec(_ln1m_eval, _ln1m_deriv, False, False, (1.0,)),
+    "reciprocal": _NamedSpec(_reciprocal_eval, _reciprocal_deriv, False, True, (1.0,)),
 }
 
 
@@ -211,6 +219,10 @@ class NamedFunction(AnalyticFunction):
     def single_valued(self) -> bool:
         return _NAMED[self.name].single_valued
 
+    @property
+    def singular_points(self) -> tuple[float, ...]:
+        return _NAMED[self.name].singular
+
     def to_json(self) -> dict:
         return {"kind": "named", "name": self.name}
 
@@ -235,6 +247,10 @@ class Scaled(AnalyticFunction):
     @property
     def single_valued(self) -> bool:
         return self.inner.single_valued
+
+    @property
+    def singular_points(self) -> tuple[float, ...]:
+        return self.inner.singular_points
 
     def to_json(self) -> dict:
         return {"kind": "scaled", "factor": self.factor, "inner": self.inner.to_json()}

@@ -145,6 +145,18 @@ def _check_axis(x1: float, x2: float, x3: float) -> None:
         raise DegenerateSliceError("evaluation point on the real axis for a non-entire function")
 
 
+def _check_singular_points(F: AnalyticFunction, path: Path) -> None:
+    """Raise DomainError, naming s, where the path passes a real singular
+    point x of F within SLICE_REJECTION_TOL * max(1, |x|): a chord between
+    two nodes on either side of it sums to a meaningless value."""
+    hits = [(s, x) for x in F.singular_points
+            if (s := path.passes(x, SLICE_REJECTION_TOL * max(1.0, abs(x)))) is not None]
+    if hits:
+        s, x = min(hits)
+        raise DomainError(f"the path passes x = {x:g}, a pole or branch point of the function",
+                          s_param=s)
+
+
 def _staircase(term: Callable[..., Sequence[float]], F: AnalyticFunction, path: Path,
                steps: int, lag: float, first: int) -> list[Sequence[float]]:
     """The row walk: one chunk of rows term(F, x_eval, x_n - x_{n-1}), n =
@@ -348,7 +360,8 @@ def integrate(F: AnalyticFunction, path: Path, steps: int,
     (second-order). Compensated summation keeps the telescoping case
     (F = x, any N) at rounding noise. The sum runs through a float-level
     kernel that equals summing the differential() terms, and a failure names
-    the evaluation point's s.
+    the evaluation point's s. For a non-entire F, a path that passes one of
+    its singular points is rejected before any step, naming the s there.
 
     _staircase_sum sums the terms in chunks of _SUM_CHUNK, shared among the
     CPUs where each gets two (see _workers), each chunk in one
@@ -360,7 +373,10 @@ def integrate(F: AnalyticFunction, path: Path, steps: int,
     if rule not in ("left", "midpoint"):
         raise ValueError(f"unknown rule {rule!r}; expected 'left' or 'midpoint'")
     lag = 0.5 if rule == "midpoint" else 1.0
-    term = _differential if F.is_entire else _off_axis_differential
+    term = _differential
+    if not F.is_entire:
+        _check_singular_points(F, path)
+        term = _off_axis_differential
     value = _staircase_sum(term, F, path, steps, lag, 4, _differential_walk)
     return _single_report(steps, Quaternion(*value), _try_reference(F, path))
 

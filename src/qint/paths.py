@@ -27,6 +27,12 @@ class Path:
     def point(self, s: float) -> Quaternion:
         return Quaternion(*self.coords(s))
 
+    def passes(self, x: float, tol: float) -> float | None:
+        """The least s at which the path comes within tol of the real point
+        x, else None. Each kind finds it in closed form where it meets the
+        real axis, at a cost that does not grow with any step count."""
+        raise NotImplementedError
+
     @property
     def start(self) -> Quaternion:
         return self.point(0.0)
@@ -59,6 +65,20 @@ class Line(Path):
         t = 1.0 - s
         return t * aw + s * bw, t * a1 + s * b1, t * a2 + s * b2, t * a3 + s * b3
 
+    def passes(self, x: float, tol: float) -> float | None:
+        # a line meets the real axis once, along all of itself, or never; the
+        # projection of x finds its point nearest x in each case. The chord is
+        # scaled to a largest component of 1, so that no square overflows
+        a, b = self.coords(0.0), self.coords(1.0)
+        d = [q - p for p, q in zip(a, b)]
+        m, s = max(map(abs, d)), 0.0
+        if m:
+            e = [c / m for c in d]
+            t = (x - a[0]) * e[0] - a[1] * e[1] - a[2] * e[2] - a[3] * e[3]
+            s = min(max(t / sum(c * c for c in e) / m, 0.0), 1.0)
+        w, x1, x2, x3 = self.coords(s)
+        return s if math.hypot(w - x, x1, x2, x3) <= tol else None
+
     def to_json(self) -> dict:
         return {"kind": "line", "a": self.a.to_list(), "b": self.b.to_list()}
 
@@ -83,6 +103,13 @@ class PolyLine(Path):
         t = s * k
         seg = min(max(int(t), 0), k - 1)  # int and floor differ only below 0, clamped to 0
         return self._segments[seg].coords(t - seg)
+
+    def passes(self, x: float, tol: float) -> float | None:
+        k = len(self._segments)
+        for seg, line in enumerate(self._segments):
+            if (s := line.passes(x, tol)) is not None:
+                return (seg + s) / k
+        return None
 
     def to_json(self) -> dict:
         return {"kind": "polyline", "points": [p.to_list() for p in self.waypoints]}
@@ -111,6 +138,15 @@ class SliceCircle(Path):
         th = TAU * (t - math.floor(t))
         b, u = self.radius * math.sin(th), self.u.value  # no property call per component
         return self.center + self.radius * math.cos(th), b * u.x1, b * u.x2, b * u.x3
+
+    def passes(self, x: float, tol: float) -> float | None:
+        # the circle meets the real axis at center + radius, at s = 0, and at
+        # center - radius once its sweep reaches half a turn
+        if abs(self.center + self.radius - x) <= tol:
+            return 0.0
+        if abs(self.turns) >= 0.5 and abs(self.center - self.radius - x) <= tol:
+            return 0.5 / abs(self.turns)
+        return None
 
     def to_json(self) -> dict:
         return {"kind": "circle", "center": self.center, "radius": self.radius,

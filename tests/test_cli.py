@@ -132,6 +132,21 @@ def test_reciprocal_pole_within_underflow_exits_2(argv, capsys):
     assert len(err) == 1 and "pole" in err[0]
 
 
+@pytest.mark.parametrize("fn, a", [("reciprocal", 1), ("ln", 0)])
+@pytest.mark.parametrize("steps", ["2", "3000", "3001"])
+@pytest.mark.parametrize("rule", ["left", "midpoint"])
+@pytest.mark.parametrize("k", [1, 4])
+def test_a_staircase_across_a_singular_point_exits_2(fn, a, steps, rule, k, cpus, capsys):
+    # unchecked, the chord across the pole or branch point at s = 0.5 sums to
+    # a value: -14807.34i for reciprocal at N = 3001, -8i at N = 2 (midpoint)
+    cpus(k)
+    path = json.dumps({"kind": "line", "a": [a, -1, 0, 0], "b": [a, 1, 0, 0]})
+    assert main(["integrate", "--fn", fn, "--path", path, "--steps", steps,
+                 "--rule", rule]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "(at s=0.5)" in err[0] and f"passes x = {a}," in err[0]
+
+
 def test_overflow_in_the_staircase_names_s(capsys):
     argv = ["integrate", "--fn", "exp", "--steps", "10", "--path",
             '{"kind": "line", "a": [700, 1, 0, 0], "b": [720, 1, 0, 0]}']

@@ -109,6 +109,17 @@ def test_entire_and_single_valued_flags():
     assert Monomial(5).is_entire
 
 
+def test_singular_points():
+    # a series' disk holds every chord between nodes inside it, so it lists none
+    assert [NamedFunction(n).singular_points for n in ("exp", "sin", "cos")] == [()] * 3
+    assert NamedFunction("ln").singular_points == (0.0,)
+    assert NamedFunction("ln1m").singular_points == (1.0,)
+    assert NamedFunction("reciprocal").singular_points == (1.0,)
+    assert PowerSeries((1.0, 1.0), radius=1.0).singular_points == ()
+    assert Monomial(3).singular_points == ()
+    assert Scaled(NamedFunction("ln1m"), -1.0).singular_points == (1.0,)
+
+
 def test_antiderivative_series_shift():
     h = antiderivative(PowerSeries((0.0, 0.0, 1.0)))  # t^2 -> t^3/3
     assert h.coeffs == (0.0, 0.0, 0.0, pytest.approx(1 / 3))

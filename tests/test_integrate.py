@@ -15,7 +15,7 @@ from conftest import (FORKS, FUNCTION_SPECS, PATH_SPECS, POINT_SPECS, assert_clo
                       assert_no_child_left, quaternions)
 from qint import (DegenerateSliceError, DomainError, IntegrationReport, Line,
                   MissingReferenceError, Monomial, NamedFunction, PolyLine, PowerSeries,
-                  QintError, Quaternion, SliceCircle, UnitImaginary, convergence_study,
+                  QintError, Quaternion, Scaled, SliceCircle, UnitImaginary, convergence_study,
                   differential, endpoint_reference, eval_function, integrate,
                   integrate_slice_quadrature, integrate_with_branch_tracking, parse_function,
                   parse_path)
@@ -191,7 +191,7 @@ def test_endpoint_outside_domain_raises_domain_error():
         integrate(geometric, path, 100)
 
 
-def test_axis_crossing_rejected_for_non_entire():
+def test_a_node_on_the_real_axis_is_rejected_for_non_entire():
     # crosses the real axis midway; reciprocal is not entire
     path = Line(Quaternion(0.25, -0.5, 0, 0), Quaternion(0.25, 0.5, 0, 0))
     with pytest.raises(DegenerateSliceError) as exc:
@@ -202,6 +202,38 @@ def test_axis_crossing_rejected_for_non_entire():
     with pytest.raises(DegenerateSliceError) as exc:
         integrate_slice_quadrature(NamedFunction("reciprocal"), from_axis, 100)
     assert exc.value.s_param == 0.0
+
+
+@pytest.mark.parametrize("name, a, b, steps, rule, want", [
+    # the continuous values, bit for bit: the singular-point check moves none
+    ("reciprocal", 0.25, 0.5, 101, "left", [0.011248462124318948, 1.23072544369941, 0.0, 0.0]),
+    ("reciprocal", 0.25, 0.5, 3001, "left", [0.0003785720341740119, 1.2307691811723338, 0.0, 0.0]),
+    ("reciprocal", 0.25, 0.5, 3000, "midpoint",
+     [1.487601613615365e-18, 1.2307692555842145, 0.0, 0.0]),
+    ("ln", -1.0, 1.0, 101, "left", [-0.0099009900990099, -1.5707636502599762, 0.0, 0.0]),
+    ("ln", -1.0, 1.0, 3001, "left",
+     [-0.00033322225924691776, -1.5707962897825385, 0.0, 0.0]),
+    ("ln", -1.0, 1.0, 3000, "midpoint", [1.9743808604905707e-19, -1.570796345313415, 0.0, 0.0]),
+])
+def test_a_crossing_at_a_regular_point_keeps_its_value(name, a, b, steps, rule, want):
+    # reciprocal across 0.25 and ln across its cut at -1: no node on the axis
+    path = Line(Quaternion(a, -b, 0, 0), Quaternion(a, b, 0, 0))
+    assert integrate(NamedFunction(name), path, steps, rule=rule).value.to_list() == want
+
+
+@pytest.mark.parametrize("F, path, s", [
+    (NamedFunction("ln"), PolyLine((Quaternion(-1, 1, 0, 0), Quaternion(1, 1, 0, 0),
+                                    Quaternion(1, -1, 0, 0), Quaternion(-1, -1, 0, 0),
+                                    Quaternion(1, 1, 0, 0))), 0.875),
+    (Scaled(NamedFunction("ln1m"), -1.0), SliceCircle(2.0, 1.0, U_I, 1.0), 0.5),
+    (NamedFunction("reciprocal"), SliceCircle(0.0, 1.0, U_I, 1.0), 0.0),
+])
+def test_a_path_through_a_singular_point_is_rejected_before_any_step(F, path, s, monkeypatch):
+    monkeypatch.setattr(sys.modules["qint.integrate"], "_staircase_sum", None)
+    for rule in ("left", "midpoint"):
+        with pytest.raises(DomainError, match="pole or branch point") as exc:
+            integrate(F, path, 1001, rule=rule)
+        assert exc.value.s_param == s
 
 
 def test_axis_crossing_fine_for_entire():

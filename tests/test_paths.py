@@ -141,3 +141,39 @@ def test_circle_large_turn_count_phase_reduction():
     p = c.point(0.9995)  # 999.5 turns -> half turn
     assert_close(p, Quaternion(-1, 0, 0, 0), 1e-9)
     assert c.point(1.0) == c.point(0.0)
+
+
+U_I = UnitImaginary(Quaternion(0, 1, 0, 0))
+
+
+@pytest.mark.parametrize("path, x, s", [
+    # a line meets the real axis once, along all of itself, or never
+    (Line(Quaternion(1, -1, 0, 0), Quaternion(1, 3, 0, 0)), 1.0, 0.25),
+    (Line(Quaternion(1, -1, 0, 0), Quaternion(1, 3, 0, 0)), 1.5, None),
+    (Line(Quaternion(-1, 0, 0, 0), Quaternion(3, 0, 0, 0)), 0.0, 0.25),
+    (Line(Quaternion(-1, 0, 0, 0), Quaternion(3, 0, 0, 0)), 4.0, None),
+    (Line(Quaternion(0, -1, 0.5, 0), Quaternion(2, 1, 0.5, 0)), 1.0, None),
+    (Line(Quaternion(1, 0, 0, 0), Quaternion(1, 0, 0, 0)), 1.0, 0.0),
+    # no square of a component overflows
+    (Line(Quaternion(0, -1e300, 0, 0), Quaternion(0, 1e300, 0, 0)), 0.0, 0.5),
+    (Line(Quaternion(1, -1e300, 1e300, 0), Quaternion(1, 3e300, -3e300, 0)), 1.0, 0.25),
+    # within the tolerance of x, or past it
+    (Line(Quaternion(0, -1, 1e-10, 0), Quaternion(0, 1, 1e-10, 0)), 0.0, 0.5),
+    (Line(Quaternion(0, -1, 1e-8, 0), Quaternion(0, 1, 1e-8, 0)), 0.0, None),
+    # one segment after another
+    (PolyLine((Quaternion(0, 1, 0, 0), Quaternion(2, 1, 0, 0), Quaternion(2, -1, 0, 0))),
+     2.0, 0.75),
+    (PolyLine((Quaternion(0, 1, 0, 0), Quaternion(2, 1, 0, 0), Quaternion(2, -1, 0, 0))),
+     0.0, None),
+    # center + radius at s = 0, center - radius once the sweep reaches half a turn
+    (SliceCircle(2.0, 1.0, U_I, 1.0), 3.0, 0.0),
+    (SliceCircle(2.0, 1.0, U_I, 2.0), 1.0, 0.25),
+    (SliceCircle(2.0, 1.0, U_I, -0.5), 1.0, 1.0),
+    (SliceCircle(2.0, 1.0, U_I, 0.4), 1.0, None),
+    (SliceCircle(2.0, 1.0, U_I, 1.0), 2.0, None),
+])
+def test_passes_finds_where_the_path_meets_a_real_point(path, x, s):
+    assert path.passes(x, 1e-9) == s
+    if s is not None:
+        w, x1, x2, x3 = path.coords(s)
+        assert math.hypot(w - x, x1, x2, x3) <= 1e-9
