@@ -145,16 +145,20 @@ def _check_axis(x1: float, x2: float, x3: float) -> None:
         raise DegenerateSliceError("evaluation point on the real axis for a non-entire function")
 
 
-def _check_singular_points(F: AnalyticFunction, path: Path) -> None:
-    """Raise DomainError, naming s, where the path passes a real singular
-    point x of F within SLICE_REJECTION_TOL * max(1, |x|): a chord between
-    two nodes on either side of it sums to a meaningless value."""
+def _differential_term(F: AnalyticFunction, path: Path) -> Callable[..., Sequence[float]]:
+    """F's row term: _differential for an entire F, else _off_axis_differential,
+    which rejects a real-axis point. Where the path passes a real singular point
+    x of a non-entire F within SLICE_REJECTION_TOL * max(1, |x|), DomainError is
+    raised at that s: a chord across x sums to a meaningless value."""
+    if F.is_entire:
+        return _differential
     hits = [(s, x) for x in F.singular_points
             if (s := path.passes(x, SLICE_REJECTION_TOL * max(1.0, abs(x)))) is not None]
     if hits:
         s, x = min(hits)
         raise DomainError(f"the path passes x = {x:g}, a pole or branch point of the function",
                           s_param=s)
+    return _off_axis_differential
 
 
 def _staircase(term: Callable[..., Sequence[float]], F: AnalyticFunction, path: Path,
@@ -373,11 +377,7 @@ def integrate(F: AnalyticFunction, path: Path, steps: int,
     if rule not in ("left", "midpoint"):
         raise ValueError(f"unknown rule {rule!r}; expected 'left' or 'midpoint'")
     lag = 0.5 if rule == "midpoint" else 1.0
-    term = _differential
-    if not F.is_entire:
-        _check_singular_points(F, path)
-        term = _off_axis_differential
-    value = _staircase_sum(term, F, path, steps, lag, 4, _differential_walk)
+    value = _staircase_sum(_differential_term(F, path), F, path, steps, lag, 4, _differential_walk)
     return _single_report(steps, Quaternion(*value), _try_reference(F, path))
 
 
@@ -520,9 +520,13 @@ def _integrate_by_parts(F: AnalyticFunction, G: AnalyticFunction, path: Path,
     """The left-rule staircase sum[F dG + (dF) G] as value, against the
     boundary term F G |_a^b as reference. Order matters: F multiplies from
     the left in one term and G from the right in the other. A failure names
-    the s of the first node at fault, or 1 for F G at the end."""
+    the s of the first node at fault, or 1 for F G at the end. As in
+    integrate, a path through a singular point of a non-entire F or G is
+    rejected before any step, and so is a real-axis node of either."""
+    F_term, G_term = _differential_term(F, path), _differential_term(G, path)
+
     def term(F, *xd):  # F(x) dG + dF G(x) as a row; xd is x then the chord
-        dF, dG = _differential(F, *xd), _differential(G, *xd)
+        dF, dG = F_term(F, *xd), G_term(G, *xd)
         Fx, Gx = _lift(F.eval_complex, *xd[:4]), _lift(G.eval_complex, *xd[:4])
         return tuple(map(add, _hamilton(*Fx, *dG), _hamilton(*dF, *Gx)))
 

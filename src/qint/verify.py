@@ -190,6 +190,8 @@ def by_parts_residual(F: AnalyticFunction, G: AnalyticFunction, path: Path,
 
 def verify_integration_by_parts(F: AnalyticFunction, G: AnalyticFunction, path: Path,
                                 steps: int, tol: Tolerances | None = None) -> CheckReport:
+    """The by-parts residual within tol.by_parts. A path through a singular
+    point of a non-entire F or G, or a real-axis node of either, raises."""
     tol = tol or Tolerances()
     res, boundary = by_parts_residual(F, G, path, steps)
     return CheckReport.within(
