@@ -1,7 +1,7 @@
 """qint — evaluate, differentiate, integrate, and verify from the shell.
 
 Exit codes: 0 success, 1 usage or parse problem, 2 domain problem
-(singularity, radius of convergence, real-axis degeneracy, slice escape),
+(singularity, radius of convergence, slice escape),
 3 verification suite failure.
 """
 

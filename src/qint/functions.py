@@ -24,11 +24,6 @@ class AnalyticFunction:
         raise NotImplementedError
 
     @property
-    def is_entire(self) -> bool:
-        """True when defined on the whole slice plane (no radius, pole, or cut)."""
-        raise NotImplementedError
-
-    @property
     def single_valued(self) -> bool:
         """False for functions with a branch point (their value is path dependent)."""
         return True
@@ -95,10 +90,6 @@ class PowerSeries(AnalyticFunction):
                 out[n + m] += a * b
         return PowerSeries(tuple(out), min(self.radius, other.radius))
 
-    @property
-    def is_entire(self) -> bool:
-        return math.isinf(self.radius)
-
     def to_json(self) -> dict:
         return {"kind": "series", "coeffs": list(self.coeffs),
                 "radius": None if math.isinf(self.radius) else self.radius}
@@ -121,10 +112,6 @@ class Monomial(AnalyticFunction):
         if self.n == 0:
             return 0j
         return self.n * z ** (self.n - 1)
-
-    @property
-    def is_entire(self) -> bool:
-        return True
 
     def to_json(self) -> dict:
         return {"kind": "named", "name": "monomial", "n": self.n}
@@ -180,18 +167,17 @@ def _neg_sin(z: complex) -> complex:
 class _NamedSpec:
     fn: Callable[[complex], complex]
     deriv: Callable[[complex], complex]
-    entire: bool
     single_valued: bool
     singular: tuple[float, ...] = ()
 
 
 _NAMED: dict[str, _NamedSpec] = {
-    "exp": _NamedSpec(cmath.exp, cmath.exp, True, True),
-    "sin": _NamedSpec(cmath.sin, cmath.cos, True, True),
-    "cos": _NamedSpec(cmath.cos, _neg_sin, True, True),
-    "ln": _NamedSpec(_ln_eval, _ln_deriv, False, False, (0.0,)),
-    "ln1m": _NamedSpec(_ln1m_eval, _ln1m_deriv, False, False, (1.0,)),
-    "reciprocal": _NamedSpec(_reciprocal_eval, _reciprocal_deriv, False, True, (1.0,)),
+    "exp": _NamedSpec(cmath.exp, cmath.exp, True),
+    "sin": _NamedSpec(cmath.sin, cmath.cos, True),
+    "cos": _NamedSpec(cmath.cos, _neg_sin, True),
+    "ln": _NamedSpec(_ln_eval, _ln_deriv, False, (0.0,)),
+    "ln1m": _NamedSpec(_ln1m_eval, _ln1m_deriv, False, (1.0,)),
+    "reciprocal": _NamedSpec(_reciprocal_eval, _reciprocal_deriv, True, (1.0,)),
 }
 
 
@@ -210,10 +196,6 @@ class NamedFunction(AnalyticFunction):
         spec = _NAMED[self.name]
         object.__setattr__(self, "eval_complex", spec.fn)
         object.__setattr__(self, "deriv_complex", spec.deriv)
-
-    @property
-    def is_entire(self) -> bool:
-        return _NAMED[self.name].entire
 
     @property
     def single_valued(self) -> bool:
@@ -239,10 +221,6 @@ class Scaled(AnalyticFunction):
 
     def deriv_complex(self, z: complex) -> complex:
         return self.factor * self.inner.deriv_complex(z)
-
-    @property
-    def is_entire(self) -> bool:
-        return self.inner.is_entire
 
     @property
     def single_valued(self) -> bool:

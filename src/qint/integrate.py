@@ -15,8 +15,8 @@ from operator import add
 from typing import Callable, Sequence
 
 from .differential import _differential
-from .errors import (DegenerateSliceError, DomainError, MissingReferenceError, QintError,
-                     SliceEscapeError, StepTooCoarseError, UnsupportedFunctionError)
+from .errors import (DomainError, MissingReferenceError, QintError, SliceEscapeError,
+                     StepTooCoarseError, UnsupportedFunctionError)
 from .functions import AnalyticFunction, NamedFunction
 from .paths import Line, Path
 from .quaternion import Quaternion, _hamilton
@@ -139,26 +139,16 @@ def _single_report(steps: int, value: Quaternion, ref: Quaternion | None) -> Int
                              rows=[(steps, value, err)])
 
 
-def _check_axis(x1: float, x2: float, x3: float) -> None:
-    """Raise at a real-axis evaluation point; for non-entire F only."""
-    if not (x1 or x2 or x3):
-        raise DegenerateSliceError("evaluation point on the real axis for a non-entire function")
-
-
-def _differential_term(F: AnalyticFunction, path: Path) -> Callable[..., Sequence[float]]:
-    """F's row term: _differential for an entire F, else _off_axis_differential,
-    which rejects a real-axis point. Where the path passes a real singular point
-    x of a non-entire F within SLICE_REJECTION_TOL * max(1, |x|), DomainError is
-    raised at that s: a chord across x sums to a meaningless value."""
-    if F.is_entire:
-        return _differential
-    hits = [(s, x) for x in F.singular_points
+def _check_singular_points(path: Path, *functions: AnalyticFunction) -> None:
+    """Raise DomainError where the path passes a real singular point x of one
+    of the functions within SLICE_REJECTION_TOL * max(1, |x|), at the least
+    such s over them all: a chord across x sums to a meaningless value."""
+    hits = [(s, x) for F in functions for x in F.singular_points
             if (s := path.passes(x, SLICE_REJECTION_TOL * max(1.0, abs(x)))) is not None]
     if hits:
         s, x = min(hits)
         raise DomainError(f"the path passes x = {x:g}, a pole or branch point of the function",
                           s_param=s)
-    return _off_axis_differential
 
 
 def _staircase(term: Callable[..., Sequence[float]], F: AnalyticFunction, path: Path,
@@ -186,12 +176,14 @@ def _staircase(term: Callable[..., Sequence[float]], F: AnalyticFunction, path: 
 
 def _differential_walk(term: Callable[..., Sequence[float]], F: AnalyticFunction, path: Path,
                        steps: int, lag: float, first: int) -> list[list[float]]:
-    """_staircase's chunk, bit for bit, for term = _differential or
-    _off_axis_differential. Where _TINY_R <= r < inf, _differential's
-    formula runs inline: the same calls in the same order (f', then f unless
-    F's eval_complex is its deriv_complex, as for exp), the same expressions.
-    Any other point (the real axis, a tiny, infinite or NaN r) takes the row
-    term itself. A failure names the s of its evaluation point.
+    """_staircase's chunk, bit for bit, for term = _differential. Where
+    _TINY_R <= r < inf, _differential's formula runs inline: the same calls
+    in the same order (f', then f unless F's eval_complex is its
+    deriv_complex, as for exp), the same expressions. Any other point (the
+    real axis, a tiny, infinite or NaN r) takes the row term itself, which at
+    a real-axis point is f'(x) times the chord: it is refused only where F is
+    undefined there, by F's own error. A failure names the s of its
+    evaluation point.
 
     The nodes of a Line (not of a subclass, which may override coords) are
     computed here with a copy of Line.coords' lerp, the same operations in
@@ -350,11 +342,6 @@ def _staircase_sum(term: Callable[..., Sequence[float]], F: AnalyticFunction, pa
     return [hi for hi, _ in total]
 
 
-def _off_axis_differential(F, xw, x1, x2, x3, dw, d1, d2, d3):
-    _check_axis(x1, x2, x3)  # a non-entire F is rejected on the real axis
-    return _differential(F, xw, x1, x2, x3, dw, d1, d2, d3)
-
-
 def integrate(F: AnalyticFunction, path: Path, steps: int,
               rule: str = "left") -> IntegrationReport:
     """Sum differential(F, x_eval, x_n - x_{n-1}) over a uniform subdivision.
@@ -364,8 +351,9 @@ def integrate(F: AnalyticFunction, path: Path, steps: int,
     (second-order). Compensated summation keeps the telescoping case
     (F = x, any N) at rounding noise. The sum runs through a float-level
     kernel that equals summing the differential() terms, and a failure names
-    the evaluation point's s. For a non-entire F, a path that passes one of
-    its singular points is rejected before any step, naming the s there.
+    the evaluation point's s. A path that passes one of F's singular points
+    is rejected before any step, naming the s there; a node on the real axis
+    is refused only where F is undefined there.
 
     _staircase_sum sums the terms in chunks of _SUM_CHUNK, shared among the
     CPUs where each gets two (see _workers), each chunk in one
@@ -377,7 +365,8 @@ def integrate(F: AnalyticFunction, path: Path, steps: int,
     if rule not in ("left", "midpoint"):
         raise ValueError(f"unknown rule {rule!r}; expected 'left' or 'midpoint'")
     lag = 0.5 if rule == "midpoint" else 1.0
-    value = _staircase_sum(_differential_term(F, path), F, path, steps, lag, 4, _differential_walk)
+    _check_singular_points(path, F)
+    value = _staircase_sum(_differential, F, path, steps, lag, 4, _differential_walk)
     return _single_report(steps, Quaternion(*value), _try_reference(F, path))
 
 
@@ -388,8 +377,9 @@ def integrate_slice_quadrature(F: AnalyticFunction, path: Path, steps: int) -> I
     (g_N + g_{N-1} - g_1 - g_0)/2, so the value is F(b) - F(a) plus an O(h^2)
     end correction, read from six samples, k in {0, 1, 2, N-2, N-1, N}. It
     checks the staircase against F's end values only: a loop around a
-    singularity, or a pole, a disk's edge or a real-axis point between those
-    samples, goes unseen.
+    singularity, or a pole, a disk's edge or a cut between those samples,
+    goes unseen. A sample on the real axis is refused only where F is
+    undefined there.
 
     Independent of the differential operator: it reads only f values, lifted
     by the same _lift as eval_function, never _differential, deriv_complex or
@@ -398,14 +388,10 @@ def integrate_slice_quadrature(F: AnalyticFunction, path: Path, steps: int) -> I
     if steps < 1:
         raise ValueError("steps must be >= 1")
     h = 1.0 / steps
-    check_axis = not F.is_entire
     g = []  # F at the (at most six) sampled k, in s order, as (w, x1, x2, x3) rows
     try:
         for k in sorted(k for k in {0, 1, 2, steps - 2, steps - 1, steps} if 0 <= k <= steps):
-            w, x1, x2, x3 = path.coords(k * h)
-            if check_axis:
-                _check_axis(x1, x2, x3)
-            g.append(_lift(F.eval_complex, w, x1, x2, x3))
+            g.append(_lift(F.eval_complex, *path.coords(k * h)))
     except (OverflowError, QintError) as e:
         raise _located(e, k * h if k < steps else 1.0)
     if steps == 1:
@@ -521,12 +507,13 @@ def _integrate_by_parts(F: AnalyticFunction, G: AnalyticFunction, path: Path,
     boundary term F G |_a^b as reference. Order matters: F multiplies from
     the left in one term and G from the right in the other. A failure names
     the s of the first node at fault, or 1 for F G at the end. As in
-    integrate, a path through a singular point of a non-entire F or G is
-    rejected before any step, and so is a real-axis node of either."""
-    F_term, G_term = _differential_term(F, path), _differential_term(G, path)
+    integrate, a path through a singular point of F or G is rejected before
+    any step, at the least such s over both; a real-axis node is refused only
+    where F or G is undefined there."""
+    _check_singular_points(path, F, G)
 
     def term(F, *xd):  # F(x) dG + dF G(x) as a row; xd is x then the chord
-        dF, dG = F_term(F, *xd), G_term(G, *xd)
+        dF, dG = _differential(F, *xd), _differential(G, *xd)
         Fx, Gx = _lift(F.eval_complex, *xd[:4]), _lift(G.eval_complex, *xd[:4])
         return tuple(map(add, _hamilton(*Fx, *dG), _hamilton(*dF, *Gx)))
 

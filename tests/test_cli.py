@@ -355,11 +355,24 @@ def test_integrate_option_problems_are_parse_errors(options, message, capsys):
     assert capsys.readouterr().err == f"qint integrate: parse error: {message}\n"
 
 
+CROSSING_AT_MINUS_1 = '{"kind":"line","a":[-1,-1,0,0],"b":[-1,1,0,0]}'
+
+
 def test_log_on_axis_point_reports_s(capsys):
-    rc = main(["integrate", "--fn", "ln", "--path", UNIT_CIRCLE, "--steps", "100"])
+    # the node at s = 1/2 is -1, on ln's cut
+    rc = main(["integrate", "--fn", "ln", "--path", CROSSING_AT_MINUS_1, "--steps", "100"])
     assert rc == 2
     err = capsys.readouterr().err
-    assert "domain error" in err and "(at s=0)" in err
+    assert "domain error" in err and "(at s=0.5)" in err and "branch cut" in err
+
+
+@pytest.mark.parametrize("steps", ["100", "101"])
+def test_a_node_on_the_axis_where_the_function_is_defined_gives_a_value(steps, capsys):
+    # reciprocal is defined at -1, so a node there, at 100 steps, is no fault
+    rc = main(["integrate", "--fn", "reciprocal", "--path", CROSSING_AT_MINUS_1,
+               "--steps", steps])
+    assert rc == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_out_to_directory_exits_1(tmp_path, capsys):

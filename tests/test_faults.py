@@ -5,7 +5,7 @@ whichever process summed its chunk, and no child process outlives it."""
 import pytest
 
 from conftest import assert_no_child_left
-from qint import (DegenerateSliceError, DomainError, Line, Monomial, NamedFunction, PolyLine,
+from qint import (DomainError, Line, Monomial, NamedFunction, PolyLine,
                   PowerSeries, QintError, Quaternion, SliceCircle, SliceEscapeError,
                   StepTooCoarseError, UnitImaginary, convergence_study, endpoint_reference,
                   integrate, integrate_slice_quadrature, integrate_with_branch_tracking,
@@ -18,7 +18,7 @@ HUGE = 1.7e308
 STEPS = 32774  # even: the left rule evaluates at s = 1/2
 OVERFLOW, SUM = "overflow (math range error)", "overflow (sum out of range)"
 FSUM = "overflow (intermediate overflow in fsum)"
-ON_AXIS = "evaluation point on the real axis for a non-entire function"
+CUT = "ln is undefined on the branch cut (real axis <= 0)"
 THROUGH_0 = "path passes through 0, where ln is singular"
 
 
@@ -65,8 +65,9 @@ def by_parts(F, G, path, steps=10):
 
 FAR = line((700, 1), (720, 1))  # exp's terms overflow from w ~ 709.8 on, at s ~ 0.49
 OUTSIDE = line((0, 0.5), (2, 0.5))  # |z| passes 1 at s ~ 0.43
-AXIS = line((0.25, -0.5), (0.25, 0.5))  # the node at s = 1/2 is on the real axis
+AXIS2 = line((-1, -1), (-1, 1))  # the node at s = 1/2 is -1, on ln's cut
 THROUGH = line((0, -1), (0, 1))  # through 0 at s = 1/2
+BOX = poly((1, 1), (1, -1), (0, -1), (0, 1))  # through 1 at s = 1/6, through 0 at s = 5/6
 TO_2J = line((0, 0.5), (0, 0, 2))  # off the real axis throughout; |z| reaches 2 at the end
 # out of the disk in segment 2 of 8 and again in segment 6, in chunks that any process may claim
 TWICE = poly(*[(0, .5), (.3, .4, .2), (0, .5), (0, 0, 1.5)] * 2, (0, .5))
@@ -79,11 +80,10 @@ FAULTS = {
                                DomainError, outside(2.0, 1.0), 1.0),
     "integrate_outside_the_disk": (stair(GEOMETRIC, TO_2J, steps=100),
                                    DomainError, outside(1.0126327073524735, 1.0), 0.49),
-    # a node on the real axis is rejected for a non-entire function
-    "axis_node": (stair(RECIPROCAL, AXIS, steps=100), DegenerateSliceError, ON_AXIS, 0.5),
-    # the quadrature samples only near the ends, so it sees the axis only there
-    "quadrature_axis_start": (quadrature(RECIPROCAL, line((0.25,), (0.25, 0.5)), 100),
-                              DegenerateSliceError, ON_AXIS, 0.0),
+    # a node on the real axis is refused where F is undefined there, by F's own error
+    "axis_node": (stair(LN, AXIS2, steps=100), DomainError, CUT, 0.5),
+    # the quadrature samples only near the ends, so it sees the cut only there
+    "quadrature_axis_start": (quadrature(LN, line((-1,), (-1, 0.5)), 100), DomainError, CUT, 0.0),
     # a kernel failure names its evaluation s
     "kernel_overflow": (stair(EXP, FAR, steps=10), DomainError, OVERFLOW, 0.5),
     "kernel_outside_the_disk": (stair(DISK, OUTSIDE, steps=10),
@@ -116,9 +116,9 @@ FAULTS = {
     # term 4055 of 4096, at w ~ 694.5, is the first non-finite one
     "past_the_first_chunk": (stair(EXP, poly((0, 1), (1, 1), (709, 1, 1e10)), steps=4096),
                              DomainError, "overflow (-inf + inf in fsum)", 4055 / 4096),
-    # ln's evaluation point at s = 1/16, step 513 of 8192, mid-chunk, is on the real axis
-    "ln_on_the_axis_mid_chunk": (stair(LN, line((1, -1), (1, 15)), steps=8192),
-                                 DegenerateSliceError, ON_AXIS, 0.0625),
+    # ln's evaluation point at s = 1/16, step 513 of 8192, mid-chunk, is -1, on its cut
+    "ln_on_the_axis_mid_chunk": (stair(LN, line((-1, -1), (-1, 15)), steps=8192),
+                                 DomainError, CUT, 0.0625),
     # past the first 4096 steps, in a chunk any process may claim; each triple
     # is also the one a lone process's chunk-by-chunk fold raises
     "term_left": (stair(EXP, FAR), DomainError, OVERFLOW, 0.4977726246414841),
@@ -127,7 +127,7 @@ FAULTS = {
                   DomainError, outside(1.0000233436258612), 0.4330261792884604),
     "disk_midpoint": (stair(DISK, OUTSIDE, "midpoint"),
                       DomainError, outside(1.0000497681073366), 0.43304143528406663),
-    "axis_left": (stair(RECIPROCAL, AXIS), DegenerateSliceError, ON_AXIS, 0.5),
+    "axis_left": (stair(LN, AXIS2), DomainError, CUT, 0.5),
     "total_left": (stair(X, TOTAL), DomainError, FSUM, 0.5311222310367975),
     "total_midpoint": (stair(X, TOTAL, "midpoint"), DomainError, FSUM, 0.5311374870324037),
     # the first of the two is reported
@@ -183,15 +183,19 @@ FAULTS = {
     # of 32, which the second of three children sums
     "by_parts_past_the_first_chunk": (by_parts(EXP, EXP, line((340, 1), (365, 1)), 32768),
                                       DomainError, FSUM, 0.624969482421875),
-    # as in integrate, a pole or branch point of a non-entire F or G on the path
-    # is rejected before any step, and so is a node of either on the real axis
+    # as in integrate, a pole or branch point of F or G on the path is rejected
+    # before any step, and a node of either on ln's cut at that node
     "by_parts_pole": (by_parts(RECIPROCAL, EXP, line((1, -1), (1, 1)), 3001),
                       DomainError, passes(1), 0.5),
     "by_parts_branch_point": (by_parts(LN, X, THROUGH, 3001), DomainError, passes(0), 0.5),
-    "by_parts_axis_node_of_F": (by_parts(RECIPROCAL, EXP, AXIS, 100),
-                                DegenerateSliceError, ON_AXIS, 0.5),
-    "by_parts_axis_node_of_G": (by_parts(EXP, RECIPROCAL, AXIS, 100),
-                                DegenerateSliceError, ON_AXIS, 0.5),
+    "by_parts_axis_node_of_F": (by_parts(LN, EXP, AXIS2, 100), DomainError, CUT, 0.5),
+    "by_parts_axis_node_of_G": (by_parts(EXP, LN, AXIS2, 100), DomainError, CUT, 0.5),
+    # the path passes G's pole 1 at s = 1/6 and F's branch point 0 at s = 5/6:
+    # the first crossing is named, whichever function it belongs to
+    "by_parts_first_crossing_of_G": (by_parts(LN, RECIPROCAL, BOX, 999),
+                                     DomainError, passes(1), 0.16666666666666666),
+    "by_parts_first_crossing_of_F": (by_parts(RECIPROCAL, LN, BOX, 999),
+                                     DomainError, passes(1), 0.16666666666666666),
 }
 
 

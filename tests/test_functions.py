@@ -98,15 +98,12 @@ def test_reciprocal_pole():
         NamedFunction("reciprocal").eval_complex(1.0 + 0j)
 
 
-def test_entire_and_single_valued_flags():
-    assert NamedFunction("exp").is_entire
-    assert not NamedFunction("ln").is_entire
+def test_single_valued_flags():
+    assert NamedFunction("exp").single_valued
     assert not NamedFunction("ln").single_valued
-    assert not NamedFunction("reciprocal").is_entire
     assert NamedFunction("reciprocal").single_valued
-    assert PowerSeries((1.0,)).is_entire
-    assert not PowerSeries((1.0,), radius=2.0).is_entire
-    assert Monomial(5).is_entire
+    assert PowerSeries((1.0,), radius=2.0).single_valued
+    assert Monomial(5).single_valued
 
 
 def test_singular_points():
@@ -178,9 +175,8 @@ def test_parse_function_series():
     assert isinstance(f, PowerSeries)
     assert f.coeffs == (1.0, 0.0, 2.0)
     assert f.radius == 3.0
-    entire = parse_function({"kind": "series", "coeffs": [1]})
-    assert entire.is_entire
-    assert parse_function({"kind": "series", "coeffs": [1], "radius": None}).is_entire
+    assert parse_function({"kind": "series", "coeffs": [1]}).radius == math.inf
+    assert parse_function({"kind": "series", "coeffs": [1], "radius": None}).radius == math.inf
 
 
 def test_parse_function_named_and_monomial():

@@ -20,7 +20,7 @@ from qint import (DomainError, IntegrationReport, Line, MissingReferenceError, M
                   integrate_with_branch_tracking, parse_function, parse_path)
 from qint.functions import AnalyticFunction
 from qint.differential import _differential
-from qint.integrate import _SUM_CHUNK, _add, _off_axis_differential, _pairs, _staircase
+from qint.integrate import _SUM_CHUNK, _add, _pairs, _staircase
 from qint.suite import catalog_functions, catalog_paths
 from qint.verify import by_parts_residual, inverse_ftc_residual
 
@@ -179,21 +179,61 @@ def test_study_without_reference_raises():
         convergence_study(NamedFunction("ln"), path, [100, 200, 400])
 
 
-@pytest.mark.parametrize("name, a, b, steps, rule, want", [
-    # the continuous values, bit for bit: the singular-point check moves none
-    ("reciprocal", 0.25, 0.5, 101, "left", [0.011248462124318948, 1.23072544369941, 0.0, 0.0]),
-    ("reciprocal", 0.25, 0.5, 3001, "left", [0.0003785720341740119, 1.2307691811723338, 0.0, 0.0]),
-    ("reciprocal", 0.25, 0.5, 3000, "midpoint",
-     [1.487601613615365e-18, 1.2307692555842145, 0.0, 0.0]),
-    ("ln", -1.0, 1.0, 101, "left", [-0.0099009900990099, -1.5707636502599762, 0.0, 0.0]),
-    ("ln", -1.0, 1.0, 3001, "left",
-     [-0.00033322225924691776, -1.5707962897825385, 0.0, 0.0]),
-    ("ln", -1.0, 1.0, 3000, "midpoint", [1.9743808604905707e-19, -1.570796345313415, 0.0, 0.0]),
-])
-def test_a_crossing_at_a_regular_point_keeps_its_value(name, a, b, steps, rule, want):
-    # reciprocal across 0.25 and ln across its cut at -1: no node on the axis
-    path = Line(Quaternion(a, -b, 0, 0), Quaternion(a, b, 0, 0))
-    assert integrate(NamedFunction(name), path, steps, rule=rule).value.to_list() == want
+def crossing(a, b):
+    """The segment a - b i -> a + b i, which crosses the real axis at a."""
+    return Line(Quaternion(a, -b, 0, 0), Quaternion(a, b, 0, 0))
+
+
+def report_value(method, *args, **kwargs):
+    """A call to method whose report's value is returned as a list."""
+    return lambda: method(*args, **kwargs).value.to_list()
+
+
+RECIPROCAL, LN, EXP = NamedFunction("reciprocal"), NamedFunction("ln"), NamedFunction("exp")
+
+REGULAR_CROSSINGS = {
+    # the continuous values, bit for bit: the singular-point check moves none.
+    # Reciprocal across 0.25 and ln across its cut at -1, with no node on the axis
+    "reciprocal_101": (report_value(integrate, RECIPROCAL, crossing(0.25, 0.5), 101),
+                       [0.011248462124318948, 1.23072544369941, 0.0, 0.0]),
+    "reciprocal_3001": (report_value(integrate, RECIPROCAL, crossing(0.25, 0.5), 3001),
+                        [0.0003785720341740119, 1.2307691811723338, 0.0, 0.0]),
+    "reciprocal_3000_midpoint": (report_value(integrate, RECIPROCAL, crossing(0.25, 0.5), 3000,
+                                       rule="midpoint"),
+                                 [1.487601613615365e-18, 1.2307692555842145, 0.0, 0.0]),
+    "ln_101": (report_value(integrate, LN, crossing(-1.0, 1.0), 101),
+               [-0.0099009900990099, -1.5707636502599762, 0.0, 0.0]),
+    "ln_3001": (report_value(integrate, LN, crossing(-1.0, 1.0), 3001),
+                [-0.00033322225924691776, -1.5707962897825385, 0.0, 0.0]),
+    "ln_3000_midpoint": (report_value(integrate, LN, crossing(-1.0, 1.0), 3000, rule="midpoint"),
+                         [1.9743808604905707e-19, -1.570796345313415, 0.0, 0.0]),
+    # a node on the axis where F is defined: its term is f'(x) times the chord
+    "reciprocal_node_on_the_axis": (report_value(integrate, RECIPROCAL, crossing(0.25, 0.5), 100),
+                                    [0.011360946745562138, 1.2307245635748898, 0.0, 0.0]),
+    # the left rule's point at s = 1/16, step 513 of 8192, mid-chunk, is 1
+    "ln_node_on_the_axis_mid_chunk": (report_value(integrate, LN, Line(Quaternion(1, -1, 0, 0),
+                                                                Quaternion(1, 15, 0, 0)), 8192),
+                                      [2.3631408106169163, 2.2901101274610762, 0.0, 0.0]),
+    "quadrature_sample_on_the_axis": (
+        report_value(integrate_slice_quadrature, RECIPROCAL,
+              Line(Quaternion(0.25, 0, 0, 0), Quaternion(0.25, 0.5, 0, 0)), 100),
+        [-0.41022371793837276, 0.6153682585156671, 0.0, 0.0]),
+    "by_parts_node_on_the_axis_of_F": (
+        lambda: by_parts_residual(RECIPROCAL, EXP, crossing(0.25, 0.5), 100)[0],
+        0.028333055618120054),
+    "by_parts_node_on_the_axis_of_G": (
+        lambda: by_parts_residual(EXP, RECIPROCAL, crossing(0.25, 0.5), 100)[0],
+        0.028333055618120054),
+}
+
+
+@pytest.mark.parametrize("case", list(REGULAR_CROSSINGS))
+def test_a_crossing_at_a_regular_point_keeps_its_value(case, cpus):
+    call, want = REGULAR_CROSSINGS[case]
+    for k in (1, 4):
+        cpus(k)
+        assert call() == want
+        assert_no_child_left()
 
 
 @pytest.mark.parametrize("F, path, s", [
@@ -289,8 +329,6 @@ class CountingExp(AnalyticFunction):
         self.derivs += 1
         return NamedFunction("exp").deriv_complex(z)
 
-    is_entire = True
-
 
 @pytest.mark.parametrize("n", [1, 2, 3, 10, 100_000])
 def test_quadrature_reads_six_samples_and_no_derivative(n):
@@ -358,11 +396,10 @@ def test_square_on_a_line_equals_its_discrete_sum(line, steps, rule, cpus):
 
 def sequential_fold(F, path, steps, lag):
     """The staircase summed in this process alone, chunk after chunk in s order."""
-    term = _differential if F.is_entire else _off_axis_differential
     inv = 1.0 / steps
     total = None
     for first in range(1, steps + 1, _SUM_CHUNK):
-        pairs = _pairs(_staircase(term, F, path, steps, lag, first),
+        pairs = _pairs(_staircase(_differential, F, path, steps, lag, first),
                        lambda i: (first + i - lag) * inv)
         last = min(first + _SUM_CHUNK, steps + 1) - 1
         total = pairs if total is None else _add(total, pairs, (last - lag) * inv)
@@ -462,24 +499,6 @@ def test_a_lines_nodes_are_computed_in_the_walk_and_other_paths_read_coords(cpus
 
 
 STEPS = 32774  # even: the left rule evaluates at s = 1/2
-
-
-@FORKS
-def test_a_child_that_dies_before_writing_is_summed_again(cpus, monkeypatch):
-    F, path = NamedFunction("exp"), KERNEL_PATHS["circle"]
-    cpus(1)
-    want = integrate(F, path, STEPS).value
-    parent, pairs = os.getpid(), sys.modules["qint.integrate"]._pairs
-
-    def dying(*args):  # every chunk is folded by _pairs, whichever kernel summed it
-        if os.getpid() != parent:
-            os._exit(1)
-        return pairs(*args)
-
-    monkeypatch.setattr(sys.modules["qint.integrate"], "_pairs", dying)
-    cpus(4)
-    assert integrate(F, path, STEPS).value == want
-    assert_no_child_left()
 
 
 class _Interrupt(BaseException):
@@ -587,11 +606,14 @@ class _TornSlots:
 
 
 @FORKS
-@pytest.mark.parametrize("death", ["before_claiming", "after_claiming", "while_writing"])
+@pytest.mark.parametrize("death", ["before_claiming", "after_claiming", "before_writing",
+                                   "while_writing", "not_forked"])
 def test_a_child_that_dies_at_any_point_is_summed_again(death, cpus, monkeypatch, tmp_path):
+    # not_forked: no child at all, as when os.fork finds no process to spare
     F, path = NamedFunction("exp"), KERNEL_PATHS["circle"]
     want = Quaternion(*sequential_fold(F, path, STEPS, 1.0))
     parent, read, module = os.getpid(), os.read, sys.modules["qint.integrate"]
+    pairs = module._pairs
     tears = os.open(tmp_path / "tears", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
 
     def claim(fd, size):  # every claim a child reads goes through here
@@ -602,10 +624,22 @@ def test_a_child_that_dies_at_any_point_is_summed_again(death, cpus, monkeypatch
             os._exit(1)
         return record
 
-    monkeypatch.setattr(os, "read", claim)
-    if death == "while_writing":
-        monkeypatch.setattr(module, "memoryview", lambda block: _TornSlots(block, parent, tears),
-                            raising=False)
+    def dying(*args):  # every chunk is folded by _pairs, whichever kernel summed it
+        if os.getpid() != parent:
+            os._exit(1)
+        return pairs(*args)
+
+    def no_fork():
+        raise BlockingIOError(errno.EAGAIN, "no process to spare")
+
+    target, name, patch = {
+        "before_claiming": (os, "read", claim),
+        "after_claiming": (os, "read", claim),
+        "before_writing": (module, "_pairs", dying),
+        "while_writing": (module, "memoryview", lambda block: _TornSlots(block, parent, tears)),
+        "not_forked": (os, "fork", no_fork),
+    }[death]
+    monkeypatch.setattr(target, name, patch, raising=False)
     for k in (2, 4):
         cpus(k)
         torn = os.fstat(tears).st_size
@@ -641,19 +675,6 @@ def test_each_chunk_is_claimed_and_summed_once(pipe_buf, cpus, monkeypatch, tmp_
         assert_no_child_left()
         assert sorted(map(int, firsts.read_text().split())) == list(range(1, steps + 1, _SUM_CHUNK))
     os.close(log)
-
-
-@FORKS
-def test_a_fork_that_fails_leaves_the_run_to_this_process(cpus, monkeypatch):
-    def no_fork():
-        raise BlockingIOError(errno.EAGAIN, "no process to spare")
-
-    F, path = NamedFunction("exp"), KERNEL_PATHS["circle"]
-    cpus(1)
-    want = integrate(F, path, STEPS).value
-    monkeypatch.setattr(os, "fork", no_fork)
-    cpus(4)
-    assert integrate(F, path, STEPS).value == want
 
 
 @FORKS
@@ -716,9 +737,6 @@ def test_a_lone_process_sums_each_chunk_once_the_faulty_one_too(cpus, monkeypatc
     assert firsts == list(range(1, faulty + 1, _SUM_CHUNK))
     assert type(got.value) is type(want.value)
     assert (str(got.value), got.value.s_param) == (str(want.value), want.value.s_param)
-
-
-LN = NamedFunction("ln")
 
 
 @settings(max_examples=150, deadline=None)

@@ -6,8 +6,8 @@ from dataclasses import fields, replace
 import pytest
 
 from conftest import FORKS, assert_no_child_left
-from qint import (ZERO, CheckReport, DegenerateSliceError, DomainError, Line, Monomial,
-                  NamedFunction, PolyLine, PowerSeries, Quaternion, SliceCircle, Tolerances,
+from qint import (ZERO, CheckReport, DomainError, Line, Monomial, NamedFunction, PolyLine,
+                  PowerSeries, Quaternion, SliceCircle, Tolerances,
                   UnitImaginary, UnsupportedFunctionError, decompose_delta, differential,
                   eval_function, integrate, inverse_ftc_residual, tolerances_from_env,
                   verify_antiderivative_map, verify_ftc_forward, verify_ftc_inverse,
@@ -164,11 +164,11 @@ class TestFtcInverse:
         assert inverse_ftc_residual(X3, x, delta, 1000) == expected
 
     def test_an_empty_perpendicular_leg_is_still_integrated(self):
-        # delta lies in the slice, so x + delta's parallel part is 1, on the real
-        # axis, and only the (empty) perpendicular leg evaluates ln there
-        x, delta = Quaternion(1, 1, 0, 0), Quaternion(0, -1, 0, 0)
+        # delta lies in the slice, so x + delta's parallel part is -1, on ln's
+        # cut, and only the (empty) perpendicular leg evaluates ln there
+        x, delta = Quaternion(-1, 1, 0, 0), Quaternion(0, -1, 0, 0)
         assert decompose_delta(x, delta).perp == ZERO
-        with pytest.raises(DegenerateSliceError) as exc:
+        with pytest.raises(DomainError, match="branch cut") as exc:
             inverse_ftc_residual(NamedFunction("ln"), x, delta, 100)
         assert exc.value.s_param == 0.0
 
